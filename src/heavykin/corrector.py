@@ -383,9 +383,13 @@ def chi_dx(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
     (a line integral of nu0', evaluated in closed form), and the transported
     dphi/dx.  All three are assembled on the Gauss-Laguerre nodes; the
     difference quotient (nu0(x + vt*z) - nu0(x))/vt is computed in a sinc
-    form that is exact in the vt -> 0 limit.
+    form that is exact in the vt -> 0 limit.  When the rate is flat
+    (nu0_delta == 0) the first two terms vanish identically and dchi/dx is
+    the flight average of dphi/dx, computed directly.
     """
     _check_eps(eps)
+    if params.nu0_delta == 0.0:
+        return _chi_average(params, t, x, v, eps, phi.dx, nodes)
     u, w = _laggauss(nodes)
     xb, vb = np.broadcast_arrays(np.asarray(x, dtype=float),
                                  np.asarray(v, dtype=float))

@@ -241,10 +241,18 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
 
     started = _time.perf_counter()
     times, rhos, gnorms, masses, rhol2, phases = [], [], [], [], [], []
+    steps = 0
 
     def record() -> None:
-        times.append(fld.time)
         dens = fld.density()
+        if not np.all(np.isfinite(dens.values)):
+            raise NumericError(f"solver produced non-finite densities at "
+                               f"t={fld.time:.6g} after {steps} steps")
+        if np.any(dens.values < -1e-12):
+            raise NumericError(f"solver produced negative densities at "
+                               f"t={fld.time:.6g} after {steps} steps; "
+                               "positivity lost")
+        times.append(fld.time)
         rhos.append(dens.values.copy())
         gnorms.append(fld.gnorm2())
         masses.append(fld.mass())
@@ -268,12 +276,10 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
             transport_apply(fld, 0.5 * h, eps, scheme_order)
             collision_apply(fld, h, eps)
             transport_apply(fld, 0.5 * h, eps, scheme_order)
+        steps += nsteps
         t = target
         fld.time = t  # suppress roundoff drift in the time stamp
         record()
-
-    if np.any(np.asarray(rhos)[-1] < -1e-12):
-        raise NumericError("solver produced negative densities; positivity lost")
 
     return KineticRun(
         params=params, eps=eps, xgrid=xgrid, dvm=dvm,

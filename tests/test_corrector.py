@@ -159,6 +159,17 @@ def test_chi_dx_matches_finite_difference(asym_params):
         assert an == pytest.approx(fd, rel=2e-6, abs=1e-9)
 
 
+def test_chi_dx_flat_rate_matches_finite_difference():
+    # nu0_delta == 0 takes the flat-rate branch: the flight average of dphi/dx
+    phi = co.gaussian_packet(center=9.0, width=1.4, t_span=(0.0, 1.0))
+    h = 1e-5
+    for eps, v, x in ((0.4, 2.2, 8.3), (0.07, -17.0, 10.5), (0.2, 0.0, 9.1)):
+        fd = (co.chi_eval(FLAT, 0.55, x + h, v, eps, phi)
+              - co.chi_eval(FLAT, 0.55, x - h, v, eps, phi)) / (2 * h)
+        an = co.chi_dx(FLAT, 0.55, x, v, eps, phi)
+        assert an == pytest.approx(fd, rel=2e-6, abs=1e-9)
+
+
 def test_chi_dt_matches_finite_difference(asym_params):
     phi = co.gaussian_packet(center=9.0, width=1.4, t_span=(0.0, 1.0))
     h = 1e-5

@@ -15,12 +15,16 @@ import pytest
 import heavykin
 from heavykin.config import (RunConfig, config_dict, default_config,
                              load_config, parse_config, serialize_config)
+from heavykin.corrector import (corrector_term_drift_g,
+                                corrector_term_drift_rho, corrector_term_qplus)
 from heavykin.errors import ConfigError, NumericError, ValidationError
 from heavykin.grids import DiscreteModel, SpatialGrid, VelocityGrid
 from heavykin.harness import (build_grids, check_apriori, check_coercivity,
                               check_correctors, mc_cross_check,
                               probe_from_choice, run_sweep)
 from heavykin.kinetic_fv import KineticRun
+from heavykin.kinetic_mc import (advance, density_standard_error,
+                                 estimate_density, init_ensemble)
 from heavykin.model import ModelParams
 
 # ---------------------------------------------------------------------------
@@ -319,12 +323,22 @@ def test_check_coercivity_degenerate_rate(asym_params):
         check_coercivity(asym_params, 0)
 
 
-def test_check_correctors_input_validation(small_report):
-    phi = probe_from_choice(parse_config(SMALL_CFG_TEXT))
+def test_check_correctors_input_validation(small_cfg, small_report):
     with pytest.raises(ValidationError, match="at least 3"):
-        check_correctors(small_report.runs[:2], phi)
+        check_correctors(small_report.rows[:2], small_cfg.model)
     with pytest.raises(ValidationError, match="decreasing"):
-        check_correctors(list(reversed(small_report.runs)), phi)
+        check_correctors(list(reversed(small_report.rows)), small_cfg.model)
+
+
+def test_row_remainders_equal_direct_terms(small_cfg, small_report):
+    # check_correctors reads these rows, so they must be the terms themselves
+    phi = probe_from_choice(small_cfg)
+    for row, run in zip(small_report.rows, small_report.runs):
+        for name, term in (("qplus", corrector_term_qplus),
+                           ("drift_g", corrector_term_drift_g),
+                           ("drift_rho", corrector_term_drift_rho)):
+            assert row[f"{name}_term"] == term(small_cfg.model, run.eps, phi,
+                                               run)
 
 
 def test_mc_cross_check_reuses_det_run(small_cfg, small_report):
@@ -332,6 +346,24 @@ def test_mc_cross_check_reuses_det_run(small_cfg, small_report):
     assert verdict.passed
     assert verdict.metrics["bins"] == 64
     assert verdict.metrics["max_z"] < 3.0
+    assert verdict.metrics["empty_bins"] == 0
+
+
+def test_mc_cross_check_empty_bins(small_cfg, small_report):
+    # 200 particles leave bins empty; their zero SE must not blow up max_z
+    cfg = dataclasses.replace(small_cfg, particles=200)
+    det = small_report.runs[0]
+    verdict = mc_cross_check(cfg, det)
+    metrics = verdict.metrics
+    assert metrics["empty_bins"] > 0
+    assert np.isfinite(metrics["max_z"]) and metrics["max_z"] < 100.0
+    ens = advance(init_ensemble(cfg.model, cfg.particles, cfg.seed),
+                  cfg.t_final, det.eps)
+    fld = estimate_density(ens, metrics["bins"])
+    se = density_standard_error(ens, fld)
+    binned = det.rho[-1].reshape(metrics["bins"], -1).mean(axis=1)
+    rule = bool(np.all(np.abs(fld.values - binned) <= 3.0 * se + 1e-15))
+    assert verdict.passed == rule
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from heavykin import ModelParams, NumericError
+from heavykin import kinetic_fv as kfv
 from heavykin import model as m
 from heavykin.grids import DiscreteModel, SpatialGrid, VelocityGrid, periodized_gaussian
 from heavykin.kinetic_fv import (
@@ -199,6 +200,23 @@ def test_run_positivity_and_shapes(asym_params):
     assert min(ph.min() for ph in run.phase) >= 0.0
     g0 = run.g_snapshot(0)
     assert np.max(np.abs(g0)) < 1e-15
+
+
+def test_run_fails_loudly_on_nan(asym_params, monkeypatch):
+    # poison the phase field once the t=0.1 snapshot is recorded: the next
+    # snapshot, at t=0.2, must raise instead of recording NaN
+    clean = kfv.collision_apply
+
+    def poisoned(fld, dt_coll, eps=1.0):
+        fld = clean(fld, dt_coll, eps)
+        if fld.time > 0.1:
+            fld.values[0, 0] = np.nan
+        return fld
+
+    monkeypatch.setattr(kfv, "collision_apply", poisoned)
+    with pytest.raises(NumericError, match=r"non-finite.*t=0\.2 after \d+ steps"):
+        small_run(asym_params, eps=0.5, t_final=0.3,
+                  snapshot_times=[0.0, 0.1, 0.2, 0.3])
 
 
 def test_run_apriori_bound_small_grid(asym_params):
