@@ -16,17 +16,19 @@ free-flight ray:
 Substituting the cumulative hazard u = U(z) turns the weight into e^{-u}, so
 a Gauss-Laguerre rule converges spectrally; U is inverted per node by a
 safeguarded Newton iteration (closed form when the frequency modulation is
-off).  The module evaluates chi, its t- and x-derivatives, the L2_F distance
-between chi and phi, the remainder terms of the weak formulation that must
-vanish with eps, and the pointwise generator integral whose limit is the
-nonlocal diffusion operator.
+off).  The inversion depends on (x, v, eps) only, so U is inverted once per
+(grid, eps): every time loop below builds the flight geometry before the
+loop and evaluates only the probe at each time node.  The module evaluates
+chi, its t- and x-derivatives, the L2_F distance between chi and phi, the
+remainder terms of the weak formulation that must vanish with eps, and the
+pointwise generator integral whose limit is the nonlocal diffusion operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad, simpson
@@ -343,16 +345,57 @@ def _invert_hazard(params: ModelParams, x, vt, u):
     raise NumericError("hazard inversion: Newton did not converge in 100 steps")
 
 
-def _chi_average(params, t, x, v, eps, fn, nodes):
+class _Flight(NamedTuple):
+    """Gauss-Laguerre flight geometry at fixed (x, v, eps, nodes).
+
+    ``x`` and ``vt`` carry a trailing node axis of length one; ``z`` solves
+    U(z) = u at each node and ``pts = x + vt*z`` are the arrival points.
+    None of it depends on t or on the probe.
+    """
+
+    x: np.ndarray
+    vt: np.ndarray
+    z: np.ndarray
+    pts: np.ndarray
+    w: np.ndarray
+
+    def average(self, vals):
+        """Flight average of values sampled at ``pts``."""
+        out = vals @ self.w
+        return float(out) if np.ndim(out) == 0 else out
+
+
+def _flight(params: ModelParams, x, v, eps: float, nodes: int = 64) -> _Flight:
+    """Invert the hazard once for the broadcast (x, v) at this eps."""
     u, w = _laggauss(nodes)
     xb, vb = np.broadcast_arrays(np.asarray(x, dtype=float),
                                  np.asarray(v, dtype=float))
     vt = _flight_shift(params, vb, eps)
     X, VT = xb[..., None], vt[..., None]
     Z = _invert_hazard(params, X, VT, u)
-    vals = fn(t, X + VT * Z)
-    out = vals @ w
-    return float(out) if np.ndim(out) == 0 else out
+    return _Flight(X, VT, Z, X + VT * Z, w)
+
+
+def _dx_rate(params: ModelParams, fl: _Flight):
+    """t-independent factor multiplying phi in the dchi/dx integrand.
+
+    The derivative of the arrival rate, dnu0/nu0, minus the derivative of
+    the survival weight; None when the rate is flat (both vanish).
+    """
+    if params.nu0_delta == 0.0:
+        return None
+    s = 2.0 * np.pi / params.domain_length
+    X, VT, Z = fl.x, fl.vt, fl.z
+    growth = (-params.nu0_mean * params.nu0_delta * s * Z
+              * np.sin(s * (X + 0.5 * VT * Z)) * np.sinc(s * VT * Z / (2.0 * np.pi)))
+    return dnu0(params, fl.pts) / nu0(params, fl.pts) - growth
+
+
+def _dchi(phi: ProbeFunction, t, fl: _Flight, rate):
+    """dchi/dx at time t from the flight geometry and its rate factor."""
+    if rate is None:
+        return fl.average(phi.dx(t, fl.pts))
+    return fl.average(rate * phi.value(t, fl.pts) + phi.dx(t, fl.pts))
 
 
 def chi_eval(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
@@ -364,14 +407,16 @@ def chi_eval(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
     flight (phase eps*xi*v*bracket(v)^-beta above ~3) need more nodes.
     """
     _check_eps(eps)
-    return _chi_average(params, t, x, v, eps, phi.value, nodes)
+    fl = _flight(params, x, v, eps, nodes)
+    return fl.average(phi.value(t, fl.pts))
 
 
 def chi_dt(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
            *, nodes: int = 64):
     """Time derivative of chi: the same flight average applied to dphi/dt."""
     _check_eps(eps)
-    return _chi_average(params, t, x, v, eps, phi.dt, nodes)
+    fl = _flight(params, x, v, eps, nodes)
+    return fl.average(phi.dt(t, fl.pts))
 
 
 def chi_dx(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
@@ -388,22 +433,8 @@ def chi_dx(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
     the flight average of dphi/dx, computed directly.
     """
     _check_eps(eps)
-    if params.nu0_delta == 0.0:
-        return _chi_average(params, t, x, v, eps, phi.dx, nodes)
-    u, w = _laggauss(nodes)
-    xb, vb = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                 np.asarray(v, dtype=float))
-    vt = _flight_shift(params, vb, eps)
-    X, VT = xb[..., None], vt[..., None]
-    Z = _invert_hazard(params, X, VT, u)
-    pts = X + VT * Z
-    s = 2.0 * np.pi / params.domain_length
-    growth = (-params.nu0_mean * params.nu0_delta * s * Z
-              * np.sin(s * (X + 0.5 * VT * Z)) * np.sinc(s * VT * Z / (2.0 * np.pi)))
-    integrand = ((dnu0(params, pts) / nu0(params, pts) - growth) * phi.value(t, pts)
-                 + phi.dx(t, pts))
-    out = integrand @ w
-    return float(out) if np.ndim(out) == 0 else out
+    fl = _flight(params, x, v, eps, nodes)
+    return _dchi(phi, t, fl, _dx_rate(params, fl))
 
 
 def hazard_weight(params: ModelParams, x, v, eps: float, *, nodes: int = 64):
@@ -413,8 +444,8 @@ def hazard_weight(params: ModelParams, x, v, eps: float, *, nodes: int = 64):
     int_0^oo nu0 e^{-U} dz = int_0^oo e^{-u} du = 1 for every (x, v, eps).
     """
     _check_eps(eps)
-    return _chi_average(params, 0.0, x, v, eps,
-                        lambda t, y: np.ones_like(y), nodes)
+    fl = _flight(params, x, v, eps, nodes)
+    return fl.average(np.ones_like(fl.pts))
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +488,12 @@ def chi_l2f_gap(params: ModelParams, phi: ProbeFunction, eps: float, *,
     fw = vgrid.weights * equilibrium_pdf(params, vgrid.v)
     tail = 2.0 * params.kappa / params.alpha * vgrid.vmax ** (-params.alpha)
     base = phi.dt if use_time_derivative else phi.value
-    evaluate = chi_dt if use_time_derivative else chi_eval
+    fl = _flight(params, xq[:, None], vgrid.v[None, :], eps, nodes)
 
     total = 0.0
     for ti, wti in zip(tq, wt):
         ref = base(ti, xq)
-        chi = evaluate(params, ti, xq[:, None], vgrid.v[None, :], eps, phi,
-                       nodes=nodes)
+        chi = fl.average(base(ti, fl.pts))
         bulk = wx @ (((chi - ref[:, None]) ** 2) @ fw)
         total += wti * (bulk + tail * (wx @ ref**2))
     return float(total)
@@ -485,12 +515,11 @@ def chi_l2_bound_ratio(params: ModelParams, phi: ProbeFunction, eps: float, *,
     vgrid = _gap_vgrid(params, eps, nv)
     fw = vgrid.weights * equilibrium_pdf(params, vgrid.v)
     base = phi.dt if use_time_derivative else phi.value
-    evaluate = chi_dt if use_time_derivative else chi_eval
+    fl = _flight(params, xq[:, None], vgrid.v[None, :], eps, nodes)
 
     num = den = 0.0
     for ti, wti in zip(tq, wt):
-        chi = evaluate(params, ti, xq[:, None], vgrid.v[None, :], eps, phi,
-                       nodes=nodes)
+        chi = fl.average(base(ti, fl.pts))
         num += wti * (wx @ ((chi**2) @ fw))
         den += wti * (wx @ base(ti, xq) ** 2)
     return float(num / den)
@@ -532,12 +561,12 @@ def corrector_term_qplus(params: ModelParams, eps: float, phi: ProbeFunction,
     nu_x = nu0(params, centers)
     wv = run.dvm.vgrid.weights
     gain = run.dvm.p_gain * wv
+    fl = _flight(params, centers[:, None], run.dvm.vgrid.v[None, :], eps)
     vals = np.empty(times.size)
     for i, t in enumerate(times):
         g = run.g_snapshot(i)
         mb = run.dvm.moment_beta(g)
-        chi = chi_eval(params, float(t), centers[:, None],
-                       run.dvm.vgrid.v[None, :], eps, phi)
+        chi = fl.average(phi.value(float(t), fl.pts))
         delta = chi - phi.value(float(t), centers)[:, None]
         vals[i] = run.xgrid.dx * float(np.sum(nu_x * mb * (delta @ gain)))
     return float(eps ** (-params.gamma) * simpson(vals, x=times))
@@ -554,11 +583,12 @@ def corrector_term_drift_g(params: ModelParams, eps: float, phi: ProbeFunction,
     times = _phase_times(run, phi)
     centers = run.xgrid.centers
     wv = run.dvm.vgrid.weights
+    fl = _flight(params, centers[:, None], run.dvm.vgrid.v[None, :], eps)
+    rate = _dx_rate(params, fl)
     vals = np.empty(times.size)
     for i, t in enumerate(times):
         g = run.g_snapshot(i)
-        dchi = chi_dx(params, float(t), centers[:, None],
-                      run.dvm.vgrid.v[None, :], eps, phi)
+        dchi = _dchi(phi, float(t), fl, rate)
         vals[i] = run.xgrid.dx * float(np.sum((g * dchi) @ wv))
     return float(eps ** (1.0 - params.gamma) * j * simpson(vals, x=times))
 
@@ -577,11 +607,12 @@ def corrector_term_drift_rho(params: ModelParams, eps: float,
     times = _phase_times(run, phi)
     centers = run.xgrid.centers
     fw = run.dvm.vgrid.weights * run.dvm.f_eq
+    fl = _flight(params, centers[:, None], run.dvm.vgrid.v[None, :], eps)
+    rate = _dx_rate(params, fl)
     vals = np.empty(times.size)
     for i, t in enumerate(times):
         rho = run.rho[i]
-        dchi = chi_dx(params, float(t), centers[:, None],
-                      run.dvm.vgrid.v[None, :], eps, phi)
+        dchi = _dchi(phi, float(t), fl, rate)
         dref = phi.dx(float(t), centers)[:, None]
         vals[i] = run.xgrid.dx * float(rho @ ((dchi - dref) @ fw))
     return float(eps ** (1.0 - params.gamma) * j * simpson(vals, x=times))

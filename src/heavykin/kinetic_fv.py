@@ -129,9 +129,9 @@ def transport_apply(fld: PhaseField, dt: float, eps: float,
 
     f = fld.values
     c = speeds * dt / dx  # signed Courant numbers per column
-    fm = np.roll(f, 1, axis=0)
     fp = np.roll(f, -1, axis=0)
     if scheme_order == 1:
+        fm = np.roll(f, 1, axis=0)
         fld.values = np.where(c[None, :] >= 0.0,
                               f - c[None, :] * (f - fm),
                               f - c[None, :] * (fp - f))

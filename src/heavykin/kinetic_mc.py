@@ -14,11 +14,12 @@ partition (fixed default 8), so results are byte-identical for a given
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .grids import DensityField, SpatialGrid
 from .model import (
     ModelParams,
@@ -103,7 +104,13 @@ def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
 
 
 def advance(ens: ParticleEnsemble, dt_macro: float, eps: float) -> ParticleEnsemble:
-    """Evolve every particle to time + dt_macro by the exact jump process."""
+    """Evolve every particle to time + dt_macro by the exact jump process.
+
+    Each round draws one candidate event for every particle still short of
+    the end time.  A non-finite collision rate, or more rounds than a
+    generous multiple of the expected event count rate*dt_macro, raises
+    :class:`NumericError` instead of looping without end.
+    """
     if dt_macro <= 0:
         raise ValidationError(f"dt_macro must be positive (got {dt_macro})")
     if not (0.0 < eps <= 1.0):
@@ -123,10 +130,29 @@ def advance(ens: ParticleEnsemble, dt_macro: float, eps: float) -> ParticleEnsem
         v = ens.velocities[sl].copy()
         t = np.full(x.shape, ens.time)
         alive = np.arange(x.size)
+        rounds = 0
 
         while alive.size:
             xa, va, ta = x[alive], v[alive], t[alive]
             rate = rate_scale * vel_bracket(va) ** p.beta
+            peak = float(np.max(rate))
+            if not math.isfinite(peak):
+                raise NumericError(
+                    f"MC advance: non-finite collision rate {peak} at round "
+                    f"{rounds}, t={float(ta.min()):.6g}"
+                )
+            if rounds == 0:
+                # a particle's candidate events are Poisson with mean
+                # rate*dt_macro, and the fastest initial particle bounds the
+                # typical rate, so the last particle finishes far inside this
+                max_rounds = 100 + 10 * math.ceil(peak * dt_macro)
+            elif rounds >= max_rounds:
+                raise NumericError(
+                    f"MC advance: {alive.size} particles still short of "
+                    f"t={t_end:.6g} after {rounds} rounds (earliest at "
+                    f"t={float(ta.min()):.6g})"
+                )
+            rounds += 1
             tau = g.exponential(size=alive.size) / rate
             t_cand = ta + tau
             flight = np.minimum(t_cand, t_end) - ta

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from heavykin import ModelParams, ValidationError
 from heavykin import corrector as co
 from heavykin.grids import DiscreteModel, SpatialGrid, VelocityGrid, periodized_gaussian
 from heavykin.kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
-from heavykin.model import equilibrium_pdf, nu0, vel_bracket
+from heavykin.model import drift, equilibrium_pdf, nu0, vel_bracket
 
 
 FLAT = ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.5)
@@ -240,6 +240,33 @@ def test_bound_ratio_below_paper_constant(asym_params):
         assert 0.05 < r <= cap
 
 
+def test_gap_and_ratio_equal_per_node_loop(asym_params):
+    # the hazard is inverted once per call; the result must equal a loop that
+    # evaluates chi (or dchi/dt) afresh at every time node
+    phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    eps, nt, nxq, nv = 0.15, 6, 16, 65
+    tq, wt = co._legendre_rule(0.0, 0.5, nt)
+    xq, wx = co._legendre_rule(phi.x_center - phi.x_halfwidth,
+                               phi.x_center + phi.x_halfwidth, nxq)
+    vgrid = co._gap_vgrid(asym_params, eps, nv)
+    fw = vgrid.weights * equilibrium_pdf(asym_params, vgrid.v)
+    tail = (2.0 * asym_params.kappa / asym_params.alpha
+            * vgrid.vmax ** (-asym_params.alpha))
+    for flag in (False, True):
+        base, evaluate = (phi.dt, co.chi_dt) if flag else (phi.value, co.chi_eval)
+        total = num = den = 0.0
+        for ti, wti in zip(tq, wt):
+            ref = base(ti, xq)
+            chi = evaluate(asym_params, ti, xq[:, None], vgrid.v[None, :], eps, phi)
+            total += wti * (wx @ (((chi - ref[:, None]) ** 2) @ fw)
+                            + tail * (wx @ ref**2))
+            num += wti * (wx @ ((chi**2) @ fw))
+            den += wti * (wx @ ref**2)
+        opts = dict(use_time_derivative=flag, nt=nt, nxq=nxq, nv=nv)
+        assert co.chi_l2f_gap(asym_params, phi, eps, **opts) == float(total)
+        assert co.chi_l2_bound_ratio(asym_params, phi, eps, **opts) == float(num / den)
+
+
 # ---------------------------------------------------------------------------
 # weak-formulation remainder terms
 # ---------------------------------------------------------------------------
@@ -261,11 +288,12 @@ def _equilibrium_run(params, eps, nx=32, nv=33, t_end=0.5, n_times=3):
                       phase=[f.copy() for _ in range(n_times)])
 
 
-def _small_run(params, eps, nx=48, nv=65, t_end=0.5):
+def _small_run(params, eps, nx=48, nv=65, t_end=0.5, n_times=9):
     xgrid = SpatialGrid(nx, params.domain_length)
     vgrid = VelocityGrid(nv, vscale=auto_vscale(params, nv, eps))
     return run_kinetic_det(params, eps, xgrid=xgrid, vgrid=vgrid,
-                           t_final=t_end, snapshot_times=np.linspace(0, t_end, 9),
+                           t_final=t_end,
+                           snapshot_times=np.linspace(0, t_end, n_times),
                            scheme_order=2, store_phase=True)
 
 
@@ -318,6 +346,68 @@ def test_drift_terms_finite_supercritical():
     s3 = co.corrector_term_drift_rho(FLAT, 0.4, phi, run)
     assert np.isfinite(s2) and np.isfinite(s3)
     assert s3 != 0.0
+
+
+def _remainders_per_node(params, eps, phi, run):
+    """The three remainder terms with chi / dchi/dx evaluated at every node."""
+    times = np.asarray(run.times, dtype=float)
+    centers, v = run.xgrid.centers, run.dvm.vgrid.v
+    wv = run.dvm.vgrid.weights
+    gain = run.dvm.p_gain * wv
+    fw = wv * run.dvm.f_eq
+    q = np.empty(times.size)
+    dg = np.empty(times.size)
+    dr = np.empty(times.size)
+    for i, t in enumerate(times):
+        t = float(t)
+        g = run.g_snapshot(i)
+        chi = co.chi_eval(params, t, centers[:, None], v[None, :], eps, phi)
+        delta = chi - phi.value(t, centers)[:, None]
+        q[i] = run.xgrid.dx * float(np.sum(nu0(params, centers)
+                                           * run.dvm.moment_beta(g) * (delta @ gain)))
+        dchi = co.chi_dx(params, t, centers[:, None], v[None, :], eps, phi)
+        dg[i] = run.xgrid.dx * float(np.sum((g * dchi) @ wv))
+        dref = phi.dx(t, centers)[:, None]
+        dr[i] = run.xgrid.dx * float(run.rho[i] @ ((dchi - dref) @ fw))
+    scale = eps ** (1.0 - params.gamma) * drift(params, eps)
+    return (float(eps ** (-params.gamma) * simpson(q, x=times)),
+            float(scale * simpson(dg, x=times)),
+            float(scale * simpson(dr, x=times)))
+
+
+def test_remainders_equal_per_node_loop(asym_params):
+    # delta = 0.3 with a drift exercises the general dchi/dx branch, FLAT the
+    # flat-rate one; hoisting the flight geometry must not change a bit
+    phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    for params in (asym_params, FLAT):
+        assert drift(params, 0.3) != 0.0
+        run = _small_run(params, 0.3, nx=32, nv=33, n_times=6)
+        got = tuple(term(params, 0.3, phi, run) for term in
+                    (co.corrector_term_qplus, co.corrector_term_drift_g,
+                     co.corrector_term_drift_rho))
+        assert got == _remainders_per_node(params, 0.3, phi, run)
+
+
+def test_hazard_inverted_once_per_call(asym_params, monkeypatch):
+    phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    run = _small_run(asym_params, 0.3, nx=32, nv=33, n_times=6)
+    calls = []
+    invert = co._invert_hazard
+
+    def counting(*args):
+        calls.append(args)
+        return invert(*args)
+
+    monkeypatch.setattr(co, "_invert_hazard", counting)
+    for term in (co.corrector_term_qplus, co.corrector_term_drift_g,
+                 co.corrector_term_drift_rho):
+        calls.clear()
+        term(asym_params, 0.3, phi, run)
+        assert len(calls) == 1
+    for diagnostic in (co.chi_l2f_gap, co.chi_l2_bound_ratio):
+        calls.clear()
+        diagnostic(asym_params, phi, 0.3, nt=8, nxq=16, nv=65)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

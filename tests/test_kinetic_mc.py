@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from heavykin import ModelParams, ValidationError
+from heavykin import ModelParams, NumericError, ValidationError
+from heavykin import kinetic_mc
 from heavykin import model as m
 from heavykin.kinetic_mc import (
     advance,
@@ -129,6 +130,31 @@ def test_reproducibility_bit_identical(asym_params):
     c = init_ensemble(asym_params, n=20_000, seed=78)
     advance(c, dt_macro=0.4, eps=0.3)
     assert not np.array_equal(a.positions, c.positions)
+
+
+def test_advance_raises_on_infinite_rate(asym_params, monkeypatch):
+    # an infinite rate makes every waiting time zero: without the check the
+    # round loop never reaches the end time
+    ens = init_ensemble(asym_params, n=100, seed=5)
+    monkeypatch.setattr(kinetic_mc, "vel_bracket", lambda v: np.inf)
+    with pytest.raises(NumericError, match="non-finite collision rate"):
+        advance(ens, dt_macro=0.3, eps=0.5)
+
+
+def test_advance_caps_rounds(asym_params):
+    # streams whose clock never ticks and whose candidates are all rejected
+    # keep every particle short of the end time at a finite rate
+    class Stalled:
+        def exponential(self, size):
+            return np.zeros(size)
+
+        def random(self, size):
+            return np.ones(size)
+
+    ens = init_ensemble(asym_params, n=100, seed=5, partitions=2)
+    ens.streams = [Stalled(), Stalled()]
+    with pytest.raises(NumericError, match=r"after \d+ rounds .*t=0"):
+        advance(ens, dt_macro=0.3, eps=0.5)
 
 
 # ---------------------------------------------------------------------------
