@@ -55,8 +55,7 @@ __all__ = [
     "constant_probe",
     "chi_eval",
     "hazard_weight",
-    "chi_l2f_gap",
-    "chi_l2_bound_ratio",
+    "chi_l2_diagnostics",
     "operator_limit_lhs",
     "NonlocalOperator",
     "MacroRun",
@@ -83,9 +82,9 @@ from .config import (RunConfig, default_config, load_config, parse_config,
 from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid
 from .kinetic_fv import KineticRun, PhaseField, auto_vscale, run_kinetic_det
 from .kinetic_mc import ParticleEnsemble, advance, estimate_density, init_ensemble
-from .corrector import (ProbeFunction, chi_eval, chi_l2_bound_ratio,
-                        chi_l2f_gap, constant_probe, gaussian_packet,
-                        hazard_weight, operator_limit_lhs, static_gaussian)
+from .corrector import (ProbeFunction, chi_eval, chi_l2_diagnostics,
+                        constant_probe, gaussian_packet, hazard_weight,
+                        operator_limit_lhs, static_gaussian)
 from .nonlocal_op import (MacroRun, NonlocalOperator, assemble, eta,
                           fourier_reference, kernel_table,
                           nonlocal_operator_at, solve_macro)

@@ -18,8 +18,8 @@ import numpy as np
 from . import __version__
 from .config import (RunConfig, config_dict, default_config, load_config,
                      validate_config)
-from .corrector import (chi_eval, chi_l2_bound_ratio, chi_l2f_gap,
-                        hazard_weight, operator_limit_lhs, static_gaussian)
+from .corrector import (chi_eval, chi_l2_diagnostics, hazard_weight,
+                        operator_limit_lhs, static_gaussian)
 from .errors import ConfigError, NumericError, OutputError, ValidationError
 from .grids import SpatialGrid, periodized_gaussian, DensityField
 from .harness import (Verdict, build_grids, check_coercivity,
@@ -118,15 +118,8 @@ def cmd_chi_check(args) -> int:
     cfg = _config(args)
     phi = probe_from_choice(cfg)
     bound = cfg.model.nu2 / cfg.model.nu1
-    rows = []
-    for eps in cfg.eps_list:
-        rows.append({
-            "eps": eps,
-            "gap": chi_l2f_gap(cfg.model, phi, eps),
-            "gap_dt": chi_l2f_gap(cfg.model, phi, eps,
-                                  use_time_derivative=True),
-            "bound_ratio": chi_l2_bound_ratio(cfg.model, phi, eps),
-        })
+    rows = [{"eps": eps, **chi_l2_diagnostics(cfg.model, phi, eps)}
+            for eps in cfg.eps_list]
     gaps = [r["gap"] for r in rows]
     gaps_dt = [r["gap_dt"] for r in rows]
     verdicts = [
@@ -301,8 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override output.dir from the config")
     common.add_argument("--seed", type=int, metavar="N",
                         help="override experiment.seed")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="concurrent eps runs for sweep")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
 
@@ -313,6 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, parents=[common], help=help_text)
+        if name == "sweep":
+            cmd.add_argument("--threads", type=int, default=1, metavar="N",
+                             help="concurrent eps runs")
         if name == "kinetic-det":
             cmd.add_argument("--nx", type=int, metavar="N",
                              help="override discretization.nx")

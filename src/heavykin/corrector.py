@@ -19,9 +19,10 @@ safeguarded Newton iteration (closed form when the frequency modulation is
 off).  The inversion depends on (x, v, eps) only, so U is inverted once per
 (grid, eps): every time loop below builds the flight geometry before the
 loop and evaluates only the probe at each time node.  The module evaluates
-chi, its t- and x-derivatives, the L2_F distance between chi and phi, the
-remainder terms of the weak formulation that must vanish with eps, and the
-pointwise generator integral whose limit is the nonlocal diffusion operator.
+chi, its t- and x-derivatives, the L2_F distance between chi and phi and
+its boundedness constant, the remainder terms of the weak formulation that
+must vanish with eps, and the pointwise generator integral whose limit is
+the nonlocal diffusion operator.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ __all__ = [
     "chi_dt",
     "chi_dx",
     "hazard_weight",
-    "chi_l2f_gap",
-    "chi_l2_bound_ratio",
+    "chi_l2_diagnostics",
     "corrector_term_qplus",
     "corrector_term_drift_g",
     "corrector_term_drift_rho",
@@ -469,16 +469,19 @@ def _gap_vgrid(params: ModelParams, eps: float, nv: int):
     return VelocityGrid(nv, vscale=vmax / (nv - 1))
 
 
-def chi_l2f_gap(params: ModelParams, phi: ProbeFunction, eps: float, *,
-                use_time_derivative: bool = False, nt: int = 32,
-                nxq: int = 64, nv: int = 513, nodes: int = 64) -> float:
-    """Squared L2_F(t, x, v) distance between the corrector and the probe.
+def chi_l2_diagnostics(params: ModelParams, phi: ProbeFunction, eps: float, *,
+                       nt: int = 32, nxq: int = 64, nv: int = 513,
+                       nodes: int = 64) -> dict:
+    """L2 gap and boundedness constant of the corrector, for values and d/dt.
 
-    Tensor Gauss-Legendre quadrature in (t, x) over the probe's support box,
+    ``gap`` is the squared L2_F(t, x, v) distance between chi and phi:
+    tensor Gauss-Legendre quadrature in (t, x) over the probe's support box,
     the compactified velocity grid inside |v| <= vmax, and the analytic
     equilibrium tail mass times phi^2 beyond (where the corrector has
-    decayed).  With ``use_time_derivative`` the same distance is computed
-    between the time derivatives.
+    decayed).  ``bound_ratio`` is ||chi||^2_{L2_F(t,x,v)} / ||phi||^2_{L2(t,x)},
+    which the flight-average structure bounds by nu2/nu1.  The ``_dt``
+    entries are the same two numbers for the time derivatives; all four
+    share one quadrature box and one flight geometry.
     """
     _check_eps(eps)
     tq, wt = _legendre_rule(phi.t_support[0], phi.t_support[1], nt)
@@ -487,42 +490,22 @@ def chi_l2f_gap(params: ModelParams, phi: ProbeFunction, eps: float, *,
     vgrid = _gap_vgrid(params, eps, nv)
     fw = vgrid.weights * equilibrium_pdf(params, vgrid.v)
     tail = 2.0 * params.kappa / params.alpha * vgrid.vmax ** (-params.alpha)
-    base = phi.dt if use_time_derivative else phi.value
     fl = _flight(params, xq[:, None], vgrid.v[None, :], eps, nodes)
 
-    total = 0.0
+    # rows: values, time derivatives; columns: gap, ||chi||^2, ||phi||^2
+    sums = np.zeros((2, 3))
     for ti, wti in zip(tq, wt):
-        ref = base(ti, xq)
-        chi = fl.average(base(ti, fl.pts))
-        bulk = wx @ (((chi - ref[:, None]) ** 2) @ fw)
-        total += wti * (bulk + tail * (wx @ ref**2))
-    return float(total)
-
-
-def chi_l2_bound_ratio(params: ModelParams, phi: ProbeFunction, eps: float, *,
-                       use_time_derivative: bool = False, nt: int = 32,
-                       nxq: int = 64, nv: int = 513, nodes: int = 64) -> float:
-    """Measured constant in the corrector boundedness inequality.
-
-    Returns ||chi||^2_{L2_F(t,x,v)} / ||phi||^2_{L2(t,x)} (or the
-    time-derivative version); the flight-average structure bounds it by
-    nu2/nu1.
-    """
-    _check_eps(eps)
-    tq, wt = _legendre_rule(phi.t_support[0], phi.t_support[1], nt)
-    xq, wx = _legendre_rule(phi.x_center - phi.x_halfwidth,
-                            phi.x_center + phi.x_halfwidth, nxq)
-    vgrid = _gap_vgrid(params, eps, nv)
-    fw = vgrid.weights * equilibrium_pdf(params, vgrid.v)
-    base = phi.dt if use_time_derivative else phi.value
-    fl = _flight(params, xq[:, None], vgrid.v[None, :], eps, nodes)
-
-    num = den = 0.0
-    for ti, wti in zip(tq, wt):
-        chi = fl.average(base(ti, fl.pts))
-        num += wti * (wx @ ((chi**2) @ fw))
-        den += wti * (wx @ base(ti, xq) ** 2)
-    return float(num / den)
+        for row, base in zip(sums, (phi.value, phi.dt)):
+            ref = base(ti, xq)
+            chi = fl.average(base(ti, fl.pts))
+            ref_sq = wx @ ref**2
+            bulk = wx @ (((chi - ref[:, None]) ** 2) @ fw)
+            row += wti * np.array([bulk + tail * ref_sq,
+                                   wx @ ((chi**2) @ fw), ref_sq])
+    (gap, num, den), (gap_dt, num_dt, den_dt) = sums
+    return {"gap": float(gap), "gap_dt": float(gap_dt),
+            "bound_ratio": float(num / den),
+            "bound_ratio_dt": float(num_dt / den_dt)}
 
 
 # ---------------------------------------------------------------------------

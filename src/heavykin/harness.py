@@ -30,6 +30,7 @@ from .kinetic_mc import advance, density_standard_error, estimate_density, \
     init_ensemble
 from .model import ModelParams, coercivity_constant, drift, nu0
 from .nonlocal_op import assemble, solve_macro
+from .outputs import _plain
 
 __all__ = ["Verdict", "SweepReport", "run_sweep", "check_apriori",
            "check_coercivity", "check_correctors", "mc_cross_check",
@@ -48,7 +49,7 @@ class Verdict:
 
     def as_dict(self) -> dict:
         return {"criterion": self.criterion, "passed": self.passed,
-                "tolerance": self.tolerance, "metrics": _jsonable(self.metrics),
+                "tolerance": self.tolerance, "metrics": _plain(self.metrics),
                 "note": self.note}
 
 
@@ -74,13 +75,13 @@ class SweepReport:
         return {
             "version": self.version,
             "seed": self.seed,
-            "config": _jsonable(self.config),
-            "params": _jsonable(self.params),
-            "eps_list": _jsonable(self.eps_list),
-            "rows": _jsonable(self.rows),
-            "macro": _jsonable(self.macro),
+            "config": _plain(self.config),
+            "params": _plain(self.params),
+            "eps_list": _plain(self.eps_list),
+            "rows": _plain(self.rows),
+            "macro": _plain(self.macro),
             "verdicts": [v.as_dict() for v in self.verdicts],
-            "diagnostics": _jsonable(self.diagnostics),
+            "diagnostics": _plain(self.diagnostics),
         }
 
     def to_json(self, *, drop_wall_times: bool = False) -> str:
@@ -92,18 +93,6 @@ class SweepReport:
                               allow_nan=False)
         except ValueError as exc:
             raise NumericError(f"report contains non-finite values: {exc}") from exc
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
 
 
 def _strip_wall_times(obj):

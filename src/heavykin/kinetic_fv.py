@@ -182,11 +182,6 @@ class KineticRun:
     phase: list[np.ndarray] = field(default_factory=list)  # [] unless stored
     wall_time: float = 0.0
 
-    def density_at(self, index: int) -> DensityField:
-        return DensityField(self.xgrid, self.rho[index],
-                            time=float(self.times[index]),
-                            provenance="deterministic marginal")
-
     def g_snapshot(self, index: int) -> np.ndarray:
         """g = f - rho F at a stored phase snapshot."""
         if not self.phase:

@@ -99,7 +99,7 @@ def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
             ens.positions[sl] = np.mod(c + width * g.standard_normal(m), length)
         else:
             ens.positions[sl] = g.random(m) * length
-        ens.velocities[sl] = feq.ppf(np.maximum(g.random(m), np.finfo(float).tiny))
+        ens.velocities[sl] = feq.sample(g, m)
     return ens
 
 
@@ -169,8 +169,7 @@ def advance(ens: ParticleEnsemble, dt_macro: float, eps: float) -> ParticleEnsem
             accept = g.random(idx.size) * p.nu2 < nu0(p, xc)
             n_acc = int(np.count_nonzero(accept))
             if n_acc:
-                vnew = pcd.ppf(np.maximum(g.random(n_acc), np.finfo(float).tiny))
-                v[idx[accept]] = vnew
+                v[idx[accept]] = pcd.sample(g, n_acc)
                 accepted_total += n_acc
             x[idx], t[idx] = xc, tc
             alive = idx
@@ -183,8 +182,7 @@ def advance(ens: ParticleEnsemble, dt_macro: float, eps: float) -> ParticleEnsem
     return ens
 
 
-def estimate_density(ens: ParticleEnsemble, nx: int, *,
-                     smoothing: bool = False) -> DensityField:
+def estimate_density(ens: ParticleEnsemble, nx: int) -> DensityField:
     """Histogram estimate of rho(x), normalized to unit mass (exact by count)."""
     if nx < 2:
         raise ValidationError(f"need nx >= 2 bins (got {nx})")
@@ -192,12 +190,10 @@ def estimate_density(ens: ParticleEnsemble, nx: int, *,
     counts, _ = np.histogram(ens.positions, bins=nx,
                              range=(0.0, ens.params.domain_length))
     values = counts / (ens.count * grid.dx)
-    if smoothing:
-        values = 0.5 * values + 0.25 * (np.roll(values, 1) + np.roll(values, -1))
     return DensityField(grid, values, time=ens.time, provenance="MC histogram")
 
 
 def density_standard_error(ens: ParticleEnsemble, fld: DensityField) -> np.ndarray:
-    """Binomial per-bin standard error of an (unsmoothed) histogram estimate."""
+    """Binomial per-bin standard error of a histogram estimate."""
     phat = fld.values * fld.grid.dx
     return np.sqrt(np.maximum(phat * (1.0 - phat), 0.0) / ens.count) / fld.grid.dx

@@ -24,8 +24,7 @@ from heavykin import (
     assemble,
     advance,
     chi_eval,
-    chi_l2_bound_ratio,
-    chi_l2f_gap,
+    chi_l2_diagnostics,
     coercivity_constant,
     constant_probe,
     default_config,
@@ -241,14 +240,12 @@ def test_criterion_05_corrector_gap_ladder():
     # factors of ~3 per rung and the bound has 2x headroom, so a coarser
     # tensor rule decides both checks comfortably
     knobs = dict(nt=16, nxq=32, nv=257, nodes=48)
-    gaps = [chi_l2f_gap(params, phi, e, **knobs) for e in ladder]
-    gaps_dt = [chi_l2f_gap(params, phi, e, use_time_derivative=True, **knobs)
-               for e in ladder]
+    diags = [chi_l2_diagnostics(params, phi, e, **knobs) for e in ladder]
+    gaps = [d["gap"] for d in diags]
+    gaps_dt = [d["gap_dt"] for d in diags]
     bound = params.nu2 / params.nu1
-    ratios = [chi_l2_bound_ratio(params, phi, e, **knobs) for e in ladder]
-    ratios_dt = [chi_l2_bound_ratio(params, phi, e, use_time_derivative=True,
-                                    **knobs)
-                 for e in ladder]
+    ratios = [d["bound_ratio"] for d in diags]
+    ratios_dt = [d["bound_ratio_dt"] for d in diags]
     dec = all(b < a for a, b in zip(gaps, gaps[1:]))
     dec_dt = all(b < a for a, b in zip(gaps_dt, gaps_dt[1:]))
     bounded = all(r <= bound for r in ratios + ratios_dt)

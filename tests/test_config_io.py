@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from heavykin.cli import main
+from heavykin.cli import _build_parser, main
 from heavykin.errors import ConfigError, NumericError, OutputError
 from heavykin.grids import DensityField, SpatialGrid, VelocityGrid, \
     periodized_gaussian
@@ -255,6 +255,15 @@ def test_cli_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_cli_threads_only_on_sweep(capsys):
+    # --threads acts only on the sweep's eps rungs; elsewhere it is rejected
+    with pytest.raises(SystemExit) as exc:
+        main(["model-info", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert _build_parser().parse_args(["sweep", "--threads", "3"]).threads == 3
 
 
 def test_cli_model_info_prints_json(tmp_path, capsys):

@@ -195,9 +195,10 @@ def test_eps_validation(asym_params):
 def test_gap_decreasing_in_eps(asym_params):
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
     opts = dict(nt=8, nxq=40, nv=129)
-    gaps = [co.chi_l2f_gap(asym_params, phi, e, **opts) for e in (0.2, 0.1, 0.05)]
-    dgaps = [co.chi_l2f_gap(asym_params, phi, e, use_time_derivative=True, **opts)
+    diags = [co.chi_l2_diagnostics(asym_params, phi, e, **opts)
              for e in (0.2, 0.1, 0.05)]
+    gaps = [d["gap"] for d in diags]
+    dgaps = [d["gap_dt"] for d in diags]
     assert gaps[0] > gaps[1] > gaps[2] > 0
     assert dgaps[0] > dgaps[1] > dgaps[2] > 0
 
@@ -222,7 +223,7 @@ def test_gap_zero_for_space_constant(asym_params):
     # chi == phi pointwise for x-constant probes, so only the analytic tail
     # bookkeeping (phi^2 * tail mass) survives; it is not a gap. Check the
     # bulk part alone by subtracting it.
-    gap = co.chi_l2f_gap(asym_params, phi, 0.1, nt=8, nxq=16, nv=65)
+    gap = co.chi_l2_diagnostics(asym_params, phi, 0.1, nt=8, nxq=16, nv=65)["gap"]
     tq, wt = co._legendre_rule(t0, t1, 8)
     xq, wx = co._legendre_rule(5.0, 15.0, 16)
     vmax = co._gap_vgrid(asym_params, 0.1, 65).vmax
@@ -234,15 +235,14 @@ def test_gap_zero_for_space_constant(asym_params):
 def test_bound_ratio_below_paper_constant(asym_params):
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
     cap = asym_params.nu2 / asym_params.nu1
-    for flag in (False, True):
-        r = co.chi_l2_bound_ratio(asym_params, phi, 0.15,
-                                  use_time_derivative=flag, nt=8, nxq=40, nv=129)
+    diag = co.chi_l2_diagnostics(asym_params, phi, 0.15, nt=8, nxq=40, nv=129)
+    for r in (diag["bound_ratio"], diag["bound_ratio_dt"]):
         assert 0.05 < r <= cap
 
 
 def test_gap_and_ratio_equal_per_node_loop(asym_params):
-    # the hazard is inverted once per call; the result must equal a loop that
-    # evaluates chi (or dchi/dt) afresh at every time node
+    # the hazard is inverted once per call; each of the four numbers must
+    # equal a loop that evaluates chi (or dchi/dt) afresh at every time node
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
     eps, nt, nxq, nv = 0.15, 6, 16, 65
     tq, wt = co._legendre_rule(0.0, 0.5, nt)
@@ -252,8 +252,10 @@ def test_gap_and_ratio_equal_per_node_loop(asym_params):
     fw = vgrid.weights * equilibrium_pdf(asym_params, vgrid.v)
     tail = (2.0 * asym_params.kappa / asym_params.alpha
             * vgrid.vmax ** (-asym_params.alpha))
-    for flag in (False, True):
-        base, evaluate = (phi.dt, co.chi_dt) if flag else (phi.value, co.chi_eval)
+    got = co.chi_l2_diagnostics(asym_params, phi, eps, nt=nt, nxq=nxq, nv=nv)
+    assert sorted(got) == ["bound_ratio", "bound_ratio_dt", "gap", "gap_dt"]
+    for suffix, base, evaluate in (("", phi.value, co.chi_eval),
+                                   ("_dt", phi.dt, co.chi_dt)):
         total = num = den = 0.0
         for ti, wti in zip(tq, wt):
             ref = base(ti, xq)
@@ -262,9 +264,8 @@ def test_gap_and_ratio_equal_per_node_loop(asym_params):
                             + tail * (wx @ ref**2))
             num += wti * (wx @ ((chi**2) @ fw))
             den += wti * (wx @ ref**2)
-        opts = dict(use_time_derivative=flag, nt=nt, nxq=nxq, nv=nv)
-        assert co.chi_l2f_gap(asym_params, phi, eps, **opts) == float(total)
-        assert co.chi_l2_bound_ratio(asym_params, phi, eps, **opts) == float(num / den)
+        assert got["gap" + suffix] == float(total)
+        assert got["bound_ratio" + suffix] == float(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +405,11 @@ def test_hazard_inverted_once_per_call(asym_params, monkeypatch):
         calls.clear()
         term(asym_params, 0.3, phi, run)
         assert len(calls) == 1
-    for diagnostic in (co.chi_l2f_gap, co.chi_l2_bound_ratio):
-        calls.clear()
-        diagnostic(asym_params, phi, 0.3, nt=8, nxq=16, nv=65)
-        assert len(calls) == 1
+    # all four L2 numbers (gap and bound ratio, values and d/dt) from one
+    # inversion
+    calls.clear()
+    co.chi_l2_diagnostics(asym_params, phi, 0.3, nt=8, nxq=16, nv=65)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

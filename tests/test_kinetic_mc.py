@@ -171,14 +171,6 @@ def test_estimate_density_spike(asym_params):
     assert fld.values.max() == pytest.approx(1.0 / fld.grid.dx)
 
 
-def test_estimate_density_smoothing_preserves_mass(asym_params):
-    ens = init_ensemble(asym_params, n=50_000, seed=2)
-    rough = estimate_density(ens, nx=64)
-    smooth = estimate_density(ens, nx=64, smoothing=True)
-    assert smooth.mass() == pytest.approx(rough.mass(), abs=1e-14)
-    assert np.max(np.abs(smooth.values - rough.values)) > 0
-
-
 def test_histogram_standard_error_against_replicas():
     params = SYM
     nx, n, reps = 100, 200_000, 50
