@@ -129,13 +129,16 @@ def cmd_chi_check(args) -> int:
                 "gaps strictly decreasing in eps",
                 {"eps": list(cfg.eps_list), "gap": gaps, "gap_dt": gaps_dt}),
         Verdict("corrector-boundedness",
-                all(r["bound_ratio"] <= bound * (1 + 1e-9) for r in rows),
-                f"ratio <= nu2/nu1 = {bound:g}",
-                {"ratios": [r["bound_ratio"] for r in rows]}),
+                all(r[key] <= bound * (1 + 1e-9) for r in rows
+                    for key in ("bound_ratio", "bound_ratio_dt")),
+                f"ratios (values and d/dt) <= nu2/nu1 = {bound:g}",
+                {"ratios": [r["bound_ratio"] for r in rows],
+                 "ratios_dt": [r["bound_ratio_dt"] for r in rows]}),
     ]
     if "csv" in cfg.formats:
         write_table_csv(f"{cfg.out_dir}/chi_check.csv",
-                        ("eps", "gap", "gap_dt", "bound_ratio"), rows)
+                        ("eps", "gap", "gap_dt", "bound_ratio",
+                         "bound_ratio_dt"), rows)
     if "json" in cfg.formats:
         write_manifest_json({"kind": "chi-check",
                              "config": config_dict(cfg),

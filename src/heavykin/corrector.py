@@ -37,6 +37,7 @@ from scipy.integrate import quad, simpson
 from .errors import NumericError, ValidationError
 from .model import (
     ModelParams,
+    critical_speed,
     dnu0,
     drift,
     equilibrium_pdf,
@@ -465,7 +466,11 @@ def _gap_vgrid(params: ModelParams, eps: float, nv: int):
     # added analytically
     from .grids import VelocityGrid
 
-    vmax = 10.0 * max(eps ** (-1.0 / (1.0 - params.beta)), 10.0)
+    critical = critical_speed(params, eps)
+    if np.isinf(critical):
+        raise NumericError(f"critical speed eps^(-1/(1-beta)) overflows at "
+                           f"eps={eps}, beta={params.beta}")
+    vmax = 10.0 * max(critical, 10.0)
     return VelocityGrid(nv, vscale=vmax / (nv - 1))
 
 

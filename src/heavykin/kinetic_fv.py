@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid, periodized_gaussian
-from .model import ModelParams, drift, nu0
+from .model import ModelParams, critical_speed, drift, nu0
 
 __all__ = [
     "PhaseField",
@@ -41,6 +41,9 @@ class PhaseField:
     dvm: DiscreteModel
     values: np.ndarray
     time: float = 0.0
+    # step set-ups of collision_apply / transport_apply, by kind
+    _plans: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self) -> None:
         expected = (self.xgrid.nx, self.dvm.vgrid.nv)
@@ -77,6 +80,42 @@ class PhaseField:
         return float(self.xgrid.dx * np.sum(self.values**2 * col[None, :]))
 
 
+def _plan(fld: PhaseField, kind: str, key: tuple, build):
+    """The step set-up of ``kind`` for ``key``, built on first use.
+
+    One slot per kind: a Strang run alternates one transport and one
+    collision step length per snapshot interval, so a new key replaces the
+    old plan instead of piling up.  The grid and the model are part of the
+    key, so a field given a new grid never reuses a stale plan.
+    """
+    key = (key, fld.xgrid, fld.dvm)
+    cached = fld._plans.get(kind)
+    if cached is None or cached[0] != key:
+        cached = fld._plans[kind] = (key, build())
+    return cached[1]
+
+
+@dataclass(frozen=True)
+class _CollisionPlan:
+    lam: np.ndarray        # (nx,) dt nu0(x) / eps^gamma
+    denom: np.ndarray      # (nx, nv) 1 + lam <v>^beta
+    wb: np.ndarray         # (nv,) w <v>^beta
+    one_minus: np.ndarray  # (nx,) 1 - lam S2
+    work: np.ndarray       # (nx, nv) scratch, reused by every step
+
+
+def _collision_plan(fld: PhaseField, dt_coll: float, eps: float) -> _CollisionPlan:
+    dvm = fld.dvm
+    p = dvm.params
+    lam = dt_coll * nu0(p, fld.xgrid.centers) / eps**p.gamma
+    b = dvm.bracket_beta
+    wb = dvm.vgrid.weights * b
+    denom = 1.0 + lam[:, None] * b[None, :]
+    s2 = ((wb * dvm.p_gain)[None, :] / denom).sum(axis=1)
+    return _CollisionPlan(lam, denom, wb, 1.0 - lam * s2,
+                          np.empty(fld.values.shape))
+
+
 def collision_apply(fld: PhaseField, dt_coll: float, eps: float = 1.0) -> PhaseField:
     """One backward-Euler collision step, exact per x-column via the rank-one gain.
 
@@ -84,27 +123,81 @@ def collision_apply(fld: PhaseField, dt_coll: float, eps: float = 1.0) -> PhaseF
     scalar equation per column: m' = S1 / (1 - lam S2), and lam S2 < 1 always
     (S2 is a p-average of lam<v>^b/(1+lam<v>^b) < 1), so the step is
     unconditionally well-posed, positivity-preserving, and exactly conservative.
+    Everything but S1 is fixed by (dt_coll, eps) and built once per field.
     """
     if not dt_coll > 0:
         raise ValidationError(f"dt_coll must be positive (got {dt_coll})")
-    dvm = fld.dvm
-    p = dvm.params
-    lam = dt_coll * nu0(p, fld.xgrid.centers) / eps**p.gamma  # (nx,)
-    b = dvm.bracket_beta
-    w = dvm.vgrid.weights
-    denom = 1.0 + lam[:, None] * b[None, :]
-    s1 = (fld.values / denom) @ (w * b)
-    s2 = ((w * b * dvm.p_gain)[None, :] / denom).sum(axis=1)
-    mstar = s1 / (1.0 - lam * s2)
-    fld.values = (fld.values + (lam * mstar)[:, None] * dvm.p_gain[None, :]) / denom
+    plan = _plan(fld, "collision", (dt_coll, eps),
+                 lambda: _collision_plan(fld, dt_coll, eps))
+    f, work = fld.values, plan.work
+    s1 = np.divide(f, plan.denom, out=work) @ plan.wb
+    mstar = s1 / plan.one_minus
+    np.multiply((plan.lam * mstar)[:, None], fld.dvm.p_gain[None, :], out=work)
+    fld.values = np.add(f, work, out=work) / plan.denom
     return fld
 
 
-def _minmod_ratio(delta_up: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """phi(r) with r = delta_up/delta, zero wherever delta vanishes."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(delta != 0.0, delta_up / np.where(delta != 0.0, delta, 1.0), 0.0)
-    return np.clip(r, 0.0, 1.0)
+def _transport_speeds(params: ModelParams, eps: float,
+                      v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-column speeds eps^(1-gamma) (v_j - j_eps) and their largest modulus."""
+    speeds = eps ** (1.0 - params.gamma) * (v - drift(params, eps))
+    return speeds, float(np.max(np.abs(speeds)))
+
+
+@dataclass(frozen=True)
+class _TransportPlan:
+    order: int
+    courant: float         # dt / dx
+    speeds: np.ndarray     # (nv,)
+    coef: np.ndarray       # (nv,) order 1: Courant numbers c; order 2: the
+                           # slope factor 0.5 (1 - |c|), negated where s < 0
+    upwind: np.ndarray     # flat indices of each cell's upwind difference
+    upwind_f: np.ndarray   # flat indices of each cell's upwind value (order 2)
+    # scratch reused by every step: the padded copies of f and of its
+    # differences, a cell array, the limiter ratio and its mask, the fluxes
+    fpad: np.ndarray       # (nx + 3, nv)
+    dpad: np.ndarray       # (nx + 2, nv)
+    cells: np.ndarray      # (nx, nv)
+    ratio: np.ndarray      # (nx, nv)
+    nonzero: np.ndarray    # (nx, nv) bool
+    flux: np.ndarray       # (nx + 1, nv)
+
+
+def _rows(nx: int, nv: int, shift: np.ndarray) -> np.ndarray:
+    """Flat indices of rows i + shift_j, column j, in a C-ordered (., nv) array."""
+    return ((np.arange(nx)[:, None] + shift[None, :]) * nv
+            + np.arange(nv)[None, :]).ravel()
+
+
+def _transport_plan(fld: PhaseField, dt: float, eps: float,
+                    scheme_order: int) -> _TransportPlan:
+    speeds, smax = _transport_speeds(fld.dvm.params, eps, fld.dvm.vgrid.v)
+    dx = fld.xgrid.dx
+    if smax > 0 and dt > dx / smax * (1.0 + 1e-12):
+        raise NumericError(
+            f"CFL violation in transport: dt={dt:.6g} exceeds admissible "
+            f"dt <= {dx / smax:.6g} (max speed {smax:.6g}, dx {dx:.6g})"
+        )
+    if scheme_order not in (1, 2):
+        raise ValidationError(f"scheme_order must be 1 or 2 (got {scheme_order})")
+    nx, nv = fld.values.shape
+    c = speeds * dt / dx
+    # Rows of the padded arrays in transport_apply: dpad row i holds
+    # f_i - f_{i-1}, row i + 1 holds f_{i+1} - f_i, row i + 2 f_{i+2} - f_{i+1};
+    # fpad row i + 1 holds f_i and row i + 2 holds f_{i+1}.
+    if scheme_order == 1:
+        left = (c < 0.0).astype(np.intp)
+        coef, upwind, upwind_f = c, _rows(nx, nv, left), None
+    else:
+        left = (speeds < 0.0).astype(np.intp)
+        limiter = 0.5 * (1.0 - np.abs(c))
+        coef = np.where(left == 1, -limiter, limiter)
+        upwind, upwind_f = _rows(nx, nv, 2 * left), _rows(nx, nv, 1 + left)
+    return _TransportPlan(
+        scheme_order, dt / dx, speeds, coef, upwind, upwind_f,
+        fpad=np.empty((nx + 3, nv)), dpad=np.empty((nx + 2, nv)),
+        cells=np.empty((nx, nv)), ratio=np.empty((nx, nv)),
+        nonzero=np.empty((nx, nv), dtype=bool), flux=np.empty((nx + 1, nv)))
 
 
 def transport_apply(fld: PhaseField, dt: float, eps: float,
@@ -113,53 +206,69 @@ def transport_apply(fld: PhaseField, dt: float, eps: float,
 
     scheme_order 1 is donor-cell upwind; 2 is MUSCL with the minmod limiter
     (TVD, positivity-preserving at CFL <= 1).  Column mass is conserved by
-    telescoping fluxes in either case.
+    telescoping fluxes in either case.  The speeds, the CFL check, the
+    Courant numbers and each column's upwind side are fixed by
+    (dt, eps, scheme_order) and built once per field; a step gathers every
+    cell's upwind values and evaluates one flux formula.
     """
-    p = fld.dvm.params
-    speeds = eps ** (1.0 - p.gamma) * (fld.dvm.vgrid.v - drift(p, eps))  # (nv,)
-    dx = fld.xgrid.dx
-    smax = float(np.max(np.abs(speeds)))
-    if smax > 0 and dt > dx / smax * (1.0 + 1e-12):
-        raise NumericError(
-            f"CFL violation in transport: dt={dt:.6g} exceeds admissible "
-            f"dt <= {dx / smax:.6g} (max speed {smax:.6g}, dx {dx:.6g})"
-        )
-    if scheme_order not in (1, 2):
-        raise ValidationError(f"scheme_order must be 1 or 2 (got {scheme_order})")
-
+    plan = _plan(fld, "transport", (dt, eps, scheme_order),
+                 lambda: _transport_plan(fld, dt, eps, scheme_order))
     f = fld.values
-    c = speeds * dt / dx  # signed Courant numbers per column
-    fp = np.roll(f, -1, axis=0)
-    if scheme_order == 1:
-        fm = np.roll(f, 1, axis=0)
-        fld.values = np.where(c[None, :] >= 0.0,
-                              f - c[None, :] * (f - fm),
-                              f - c[None, :] * (fp - f))
+    nx = f.shape[0]
+    # periodic padding: fpad row r holds f_{r-1}, dpad row r f_r - f_{r-1}
+    fpad = np.concatenate((f[-1:], f, f[:2]), axis=0, out=plan.fpad)
+    dpad = np.subtract(fpad[1:], fpad[:-1], out=plan.dpad)
+    cells = plan.cells
+    np.take(dpad, plan.upwind, out=cells.reshape(-1), mode="clip")
+    if plan.order == 1:
+        # c >= 0: f_i - c (f_i - f_{i-1});  c < 0: f_i - c (f_{i+1} - f_i)
+        fld.values = f - np.multiply(plan.coef, cells, out=cells)
         fld.time += dt
         return fld
 
-    # MUSCL: limited flux at the i+1/2 face for every column, by speed sign.
-    d = fp - f                      # f_{i+1} - f_i
-    dm = np.roll(d, 1, axis=0)      # f_i - f_{i-1}
-    dp = np.roll(d, -1, axis=0)     # f_{i+2} - f_{i+1}
-    cb = np.abs(c)[None, :]
-    s = speeds[None, :]
-    flux_pos = s * (f + 0.5 * (1.0 - cb) * _minmod_ratio(dm, d) * d)
-    flux_neg = s * (fp - 0.5 * (1.0 - cb) * _minmod_ratio(dp, d) * d)
-    flux = np.where(s >= 0.0, flux_pos, flux_neg)
-    fld.values = f - (dt / dx) * (flux - np.roll(flux, 1, axis=0))
+    # MUSCL with the minmod-limited slope from the upwind side:
+    #   s >= 0: flux_{i+1/2} = s (f_i + 0.5 (1 - |c|) phi(r) d_i)
+    #   s < 0:  flux_{i+1/2} = s (f_{i+1} - 0.5 (1 - |c|) phi(r) d_i)
+    # with d_i = f_{i+1} - f_i and r the upwind difference over d_i (0 where
+    # d_i vanishes); adding the negated slope equals subtracting it exactly.
+    d = dpad[1:-1]
+    ratio = plan.ratio
+    ratio.fill(0.0)
+    np.divide(cells, d, out=ratio, where=np.not_equal(d, 0.0, out=plan.nonzero))
+    np.clip(ratio, 0.0, 1.0, out=ratio)
+    slope = np.multiply(np.multiply(plan.coef, ratio, out=ratio), d, out=ratio)
+    np.take(fpad, plan.upwind_f, out=cells.reshape(-1), mode="clip")
+    flux = plan.flux                # row r: the face flux of cell r - 1
+    np.multiply(plan.speeds, np.add(cells, slope, out=cells), out=flux[1:])
+    flux[0] = flux[nx]
+    np.subtract(flux[1:], flux[:-1], out=cells)
+    fld.values = f - np.multiply(plan.courant, cells, out=cells)
     fld.time += dt
     return fld
+
+
+# A run needing more CFL-bound steps than this has a velocity grid far wider
+# than its spatial grid can follow (the tail-mass vmax as alpha -> 0); it
+# fails at once instead of running for days.
+_MAX_STEPS = 10**7
 
 
 def auto_vscale(params: ModelParams, nv: int, eps_min: float,
                 tail_target: float = 1e-3) -> float:
     """Velocity-grid scale so the outermost node covers both the critical
     scale eps^(-1/(1-beta)) and the tail-mass-loss target."""
-    critical = eps_min ** (-1.0 / (1.0 - params.beta))
+    critical = critical_speed(params, eps_min)
+    try:
+        tail = (2.0 * params.kappa / (params.alpha * tail_target)) ** (1.0 / params.alpha)
+    except OverflowError:
+        tail = math.inf
     # 5% headroom keeps the realized loss strictly inside the budget
-    tail = (2.0 * params.kappa / (params.alpha * tail_target)) ** (1.0 / params.alpha)
-    return 1.05 * max(critical, tail, 10.0) / (nv - 1)
+    vscale = 1.05 * max(critical, tail, 10.0) / (nv - 1)
+    if not math.isfinite(vscale):
+        raise NumericError(
+            f"velocity grid scale overflows (critical speed {critical:.3g}, "
+            f"tail-mass speed {tail:.3g}); give the grid an explicit vmax")
+    return vscale
 
 
 @dataclass
@@ -210,7 +319,7 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
         raise ValidationError(f"cfl must lie in (0, 1] (got {cfl})")
 
     dvm = DiscreteModel(params, vgrid)
-    critical = eps ** (-1.0 / (1.0 - params.beta))
+    critical = critical_speed(params, eps)
     if vgrid.vmax < critical or dvm.tail_mass_loss > 1e-3:
         warnings.warn(
             f"velocity grid vmax={vgrid.vmax:.3g} below the critical scale "
@@ -229,10 +338,14 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
         rho0 = periodized_gaussian(xgrid)
     fld = PhaseField.from_density(xgrid, dvm, np.asarray(rho0, dtype=float))
 
-    speeds = eps ** (1.0 - params.gamma) * (vgrid.v - drift(params, eps))
-    smax = float(np.max(np.abs(speeds)))
+    _, smax = _transport_speeds(params, eps, vgrid.v)
     # The CFL constraint applies to the half-step of length dt/2.
     dt_max = 2.0 * cfl * xgrid.dx / smax if smax > 0 else t_final
+    if not snap[-1] <= _MAX_STEPS * dt_max:
+        raise NumericError(
+            f"reaching t={snap[-1]:.6g} takes more than {_MAX_STEPS:.0e} steps "
+            f"of dt <= {dt_max:.3g} (max speed {smax:.3g}); the velocity grid "
+            f"(vmax {vgrid.vmax:.3g}) is too wide for dx = {xgrid.dx:.3g}")
 
     started = _time.perf_counter()
     times, rhos, gnorms, masses, rhol2, phases = [], [], [], [], [], []

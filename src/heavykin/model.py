@@ -43,6 +43,7 @@ __all__ = [
     "nu0",
     "collision_frequency",
     "cross_section_b",
+    "critical_speed",
     "drift",
     "truncated_first_moment",
     "coercivity_constant",
@@ -371,6 +372,17 @@ def truncated_first_moment(params: ModelParams, radius: float) -> float:
     return 2.0 * h * a / 3.0
 
 
+def critical_speed(params: ModelParams, eps: float) -> float:
+    """The critical speed ``eps^(-1/(1-beta))`` of the scaling.
+
+    ``inf`` where it exceeds the float range (beta close to 1, small eps).
+    """
+    try:
+        return eps ** (-1.0 / (1.0 - params.beta))
+    except OverflowError:
+        return math.inf
+
+
 def drift(params: ModelParams, eps: float) -> float:
     """Theorem drift j^eps_F: three cases in alpha.
 
@@ -384,8 +396,7 @@ def drift(params: ModelParams, eps: float) -> float:
     if params.alpha < 1.0:
         return 0.0
     if params.alpha == 1.0:
-        radius = eps ** (-1.0 / (1.0 - params.beta))
-        return truncated_first_moment(params, radius)
+        return truncated_first_moment(params, critical_speed(params, eps))
     return params.equilibrium_mean
 
 

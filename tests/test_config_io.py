@@ -422,8 +422,31 @@ def test_cli_chi_check(tmp_path, capsys):
     assert main(["chi-check", "--config", cfg]) == 0
     assert "[PASS] corrector-boundedness" in capsys.readouterr().out
     lines = (out / "chi_check.csv").read_text().splitlines()
-    assert lines[0] == "eps,gap,gap_dt,bound_ratio"
+    assert lines[0] == "eps,gap,gap_dt,bound_ratio,bound_ratio_dt"
     assert len(lines) == 2
+
+
+def test_cli_chi_check_bounds_time_derivative_ratio(tmp_path, capsys,
+                                                    monkeypatch):
+    # criterion 05 bounds both ratios: a d/dt ratio above nu2/nu1 alone must
+    # fail the verdict and show in the manifest
+    import heavykin.cli as cli
+    real = cli.chi_l2_diagnostics
+
+    def inflated(params, phi, eps, **kw):
+        diag = real(params, phi, eps, **kw)
+        assert diag["bound_ratio"] <= params.nu2 / params.nu1
+        return {**diag, "bound_ratio_dt": 1.5 * params.nu2 / params.nu1}
+
+    monkeypatch.setattr(cli, "chi_l2_diagnostics", inflated)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, TINY.replace("0.4, 0.2", "0.3")
+                    + f"output.dir = {out}\n")
+    assert main(["chi-check", "--config", cfg]) == 1
+    assert "[FAIL] corrector-boundedness" in capsys.readouterr().out
+    verdict = json.loads((out / "chi_check.json").read_text())["verdicts"][1]
+    assert verdict["criterion"] == "corrector-boundedness"
+    assert verdict["metrics"]["ratios_dt"] == [1.5]
 
 
 def test_cli_sweep_writes_report(tmp_path, capsys):

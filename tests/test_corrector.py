@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from heavykin import ModelParams, ValidationError
+from heavykin import ModelParams, NumericError, ValidationError
 from heavykin import corrector as co
 from heavykin.grids import DiscreteModel, SpatialGrid, VelocityGrid, periodized_gaussian
 from heavykin.kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
@@ -238,6 +238,15 @@ def test_bound_ratio_below_paper_constant(asym_params):
     diag = co.chi_l2_diagnostics(asym_params, phi, 0.15, nt=8, nxq=40, nv=129)
     for r in (diag["bound_ratio"], diag["bound_ratio_dt"]):
         assert 0.05 < r <= cap
+
+
+def test_gap_box_raises_when_critical_speed_overflows():
+    # beta -> 1 sends eps^(-1/(1-beta)) past the float range: a typed error,
+    # not an OverflowError
+    params = ModelParams(alpha=1.0, beta=0.9999, kappa=0.4)
+    phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    with pytest.raises(NumericError, match="overflows"):
+        co.chi_l2_diagnostics(params, phi, 0.05, nt=4, nxq=8, nv=33)
 
 
 def test_gap_and_ratio_equal_per_node_loop(asym_params):

@@ -162,6 +162,104 @@ def test_upwind_positivity(asym_params, rng):
 
 
 # ---------------------------------------------------------------------------
+# step set-up built once per step length: the kernels equal the one-shot
+# formulas bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _upwind_once(f, c):
+    fp, fm = np.roll(f, -1, axis=0), np.roll(f, 1, axis=0)
+    return np.where(c[None, :] >= 0.0, f - c[None, :] * (f - fm),
+                    f - c[None, :] * (fp - f))
+
+
+def _minmod_once(delta_up, delta):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(delta != 0.0, delta_up / np.where(delta != 0.0, delta, 1.0), 0.0)
+    return np.clip(r, 0.0, 1.0)
+
+
+def _muscl_once(f, speeds, dt, dx):
+    c = speeds * dt / dx
+    fp = np.roll(f, -1, axis=0)
+    d = fp - f
+    dm, dp = np.roll(d, 1, axis=0), np.roll(d, -1, axis=0)
+    cb, s = np.abs(c)[None, :], speeds[None, :]
+    flux_pos = s * (f + 0.5 * (1.0 - cb) * _minmod_once(dm, d) * d)
+    flux_neg = s * (fp - 0.5 * (1.0 - cb) * _minmod_once(dp, d) * d)
+    flux = np.where(s >= 0.0, flux_pos, flux_neg)
+    return f - (dt / dx) * (flux - np.roll(flux, 1, axis=0))
+
+
+def _collision_once(f, fld, dt, eps):
+    dvm, p = fld.dvm, fld.dvm.params
+    lam = dt * m.nu0(p, fld.xgrid.centers) / eps**p.gamma
+    b, w = dvm.bracket_beta, dvm.vgrid.weights
+    denom = 1.0 + lam[:, None] * b[None, :]
+    s1 = (f / denom) @ (w * b)
+    s2 = ((w * b * dvm.p_gain)[None, :] / denom).sum(axis=1)
+    mstar = s1 / (1.0 - lam * s2)
+    return (f + (lam * mstar)[:, None] * dvm.p_gain[None, :]) / denom
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("core_asym", [0.5, 0.0])  # drift 0.12 and drift 0
+@pytest.mark.parametrize("order", [1, 2])
+def test_kernels_equal_one_shot_formulas_bitwise(core_asym, order):
+    params = ModelParams(alpha=1.5, beta=0.25, kappa=0.2, core_asym=core_asym,
+                         nu0_delta=0.3)
+    eps = 0.4
+    fld = make_field(params, nx=32, nv=33, vscale=0.5)
+    rng = np.random.default_rng(11)
+    f = rng.random(fld.values.shape)
+    f[4:9] = f[4]           # flat stretch: zero differences in every column
+    f[20:23] = 0.0
+    fld.values = f.copy()
+    speeds = eps ** (1.0 - params.gamma) * (fld.dvm.vgrid.v - m.drift(params, eps))
+    assert np.any(speeds < 0) and np.any(speeds > 0)
+    assert np.any(speeds == 0) == (core_asym == 0.0)
+    dt = 0.9 * fld.xgrid.dx / np.max(np.abs(speeds))
+    # repeats reuse each plan; a new step length replaces it
+    for h in (dt, dt, dt, 0.5 * dt, dt, dt):
+        transport_apply(fld, h, eps, scheme_order=order)
+        f = (_upwind_once(f, speeds * h / fld.xgrid.dx) if order == 1
+             else _muscl_once(f, speeds, h, fld.xgrid.dx))
+        assert _same_bits(fld.values, f)
+        collision_apply(fld, 2.0 * h, eps)
+        f = _collision_once(f, fld, 2.0 * h, eps)
+        assert _same_bits(fld.values, f)
+
+
+def test_step_setup_independent_of_step_count(asym_params, monkeypatch):
+    # drift (transport speeds) and nu0 (collision rates) are step set-up: a
+    # run four times as long, with the same snapshots, calls them no more
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("drift", "nu0", "collision_apply"):
+        monkeypatch.setattr(kfv, name, counted(name, getattr(kfv, name)))
+
+    def calls(t_final):
+        counts.clear()
+        small_run(asym_params, eps=0.3, t_final=t_final,
+                  snapshot_times=[0.0, 0.5 * t_final, t_final])
+        return counts.pop("collision_apply"), dict(counts)
+
+    short_steps, short = calls(0.05)
+    long_steps, long = calls(0.2)
+    assert long_steps > 3 * short_steps
+    assert long == short
+
+
+# ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
 
@@ -236,6 +334,21 @@ def test_run_warns_on_small_velocity_grid(asym_params):
     vg = VelocityGrid(nv=17, vscale=0.05)  # vmax = 0.8, absurdly small
     with pytest.warns(UserWarning, match="tail-mass"):
         run_kinetic_det(asym_params, 0.5, xgrid=xg, vgrid=vg, t_final=0.01)
+
+
+def test_run_refuses_endless_cfl_run():
+    # the tail-mass vmax for alpha -> 0 is ~1e58: ~1e55 CFL steps; the run
+    # must fail at once instead of stepping
+    params = ModelParams(alpha=0.05, beta=0.0, kappa=0.02)
+    with pytest.raises(NumericError, match="1e\\+07 steps"):
+        small_run(params, eps=0.4, nx=8, nv=9)
+
+
+def test_auto_vscale_overflow_is_typed():
+    with pytest.raises(NumericError, match="overflows"):
+        auto_vscale(ModelParams(alpha=1e-3, beta=0.0, kappa=4e-4), 9, 0.4)
+    with pytest.raises(NumericError, match="overflows"):
+        auto_vscale(ModelParams(alpha=1.0, beta=0.9999, kappa=0.4), 9, 0.05)
 
 
 def test_grid_self_convergence():

@@ -1,0 +1,79 @@
+"""Whole admissible parameter box through the command line.
+
+Every model in the box -- alpha in (0, 2), beta in (-alpha, min(alpha,
+2 - alpha)), kappa in (0, alpha/2), delta in [0, 1) -- must give one of the
+documented exit codes and never a traceback, including the corners
+gamma -> 0, gamma -> 2 and delta -> 1.  Runs are `kinetic-det` on tiny grids.
+"""
+
+import os
+import tempfile
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from heavykin.cli import main
+
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def _kinetic_det(alpha, beta, kappa, delta, core_asym, eps, vmax, order):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "box.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(f"model.alpha = {alpha!r}\n"
+                     f"model.beta = {beta!r}\n"
+                     f"model.kappa = {kappa!r}\n"
+                     f"model.nu0_delta = {delta!r}\n"
+                     f"model.core_asym = {core_asym!r}\n"
+                     "discretization.nx = 8\n"
+                     "discretization.nv = 9\n"
+                     f"discretization.vmax_policy = {vmax}\n"
+                     f"discretization.scheme_order = {order}\n"
+                     f"experiment.eps_list = {eps!r}\n"
+                     "experiment.t_final = 0.05\n"
+                     f"output.dir = {tmp}/out\n"
+                     "output.formats = csv, json\n")
+        return main(["kinetic-det", "--config", cfg, "--quiet"])
+
+
+@given(alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+       beta_frac=OPEN_UNIT, kappa_frac=OPEN_UNIT,
+       delta=st.floats(0.0, 1.0, exclude_max=True),
+       core_asym=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+       eps=st.sampled_from([0.4, 0.2, 0.1, 0.05]),
+       vmax=st.sampled_from(["4", "40"]),
+       order=st.sampled_from([1, 2]))
+# The drawn velocity grids are explicit: the automatic vmax grows like
+# (2 kappa / (alpha tail_target))^(1/alpha), so a CFL-bound run at small
+# alpha may legitimately take hours.  The corners below use it: gamma -> 0
+# (beta -> alpha), gamma -> 2 (beta -> 2 - alpha, where the critical speed
+# overflows for beta -> 1), delta -> 1, alpha -> 0 (more steps than the budget,
+# then an overflowing tail-mass speed) and alpha -> 2.
+@example(alpha=0.8, beta_frac=1 - 1e-12, kappa_frac=0.5, delta=0.3,
+         core_asym=0.5, eps=0.05, vmax="auto", order=2)
+@example(alpha=1.0, beta_frac=1 - 1e-9, kappa_frac=0.5, delta=0.0,
+         core_asym=0.5, eps=0.05, vmax="auto", order=2)
+@example(alpha=1.2, beta_frac=1 - 1e-12, kappa_frac=0.5, delta=0.3,
+         core_asym=-0.5, eps=0.4, vmax="auto", order=2)
+@example(alpha=1.5, beta_frac=0.5, kappa_frac=0.5, delta=1 - 1e-12,
+         core_asym=0.5, eps=0.05, vmax="40", order=2)
+@example(alpha=0.05, beta_frac=0.5, kappa_frac=0.5, delta=0.0,
+         core_asym=0.0, eps=0.4, vmax="auto", order=1)
+@example(alpha=1e-3, beta_frac=0.5, kappa_frac=0.5, delta=0.0,
+         core_asym=0.0, eps=0.4, vmax="auto", order=1)
+@example(alpha=2 - 1e-12, beta_frac=0.5, kappa_frac=1 - 1e-12, delta=0.5,
+         core_asym=0.5, eps=0.05, vmax="auto", order=2)
+@settings(max_examples=60, deadline=None)
+# tiny grids miss the critical scale by design: the tail-mass warning, and
+# numpy's overflow warnings at the corners, are expected
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+def test_kinetic_det_exit_codes_over_parameter_box(alpha, beta_frac, kappa_frac,
+                                                   delta, core_asym, eps, vmax,
+                                                   order):
+    upper = min(alpha, 2.0 - alpha)
+    beta = -alpha + beta_frac * (upper + alpha)
+    kappa = kappa_frac * alpha / 2.0
+    code = _kinetic_det(alpha, beta, kappa, delta, core_asym, eps, vmax, order)
+    assert code in (0, 1, 2, 3)
