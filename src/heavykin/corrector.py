@@ -17,9 +17,11 @@ Substituting the cumulative hazard u = U(z) turns the weight into e^{-u}, so
 a Gauss-Laguerre rule converges spectrally; U is inverted per node by a
 safeguarded Newton iteration (closed form when the frequency modulation is
 off).  The inversion depends on (x, v, eps) only, so U is inverted once per
-(grid, eps): every time loop below builds the flight geometry before the
-loop and evaluates only the probe at each time node.  The module evaluates
-chi, its t- and x-derivatives, the L2_F distance between chi and phi and
+(grid, eps).  Every probe is separable, phi(t, x) = a(t) s(x), and the
+flight average acts on x only, so chi = a(t) <s>, d_t chi = a'(t) <s> and
+d_x chi = a(t) <rate s + s'>: each diagnostic averages the space factor
+once per (grid, eps), and its time loop only scales by a(t).  The module
+evaluates chi, its x-derivative, the L2_F distance between chi and phi and
 its boundedness constant, the remainder terms of the weak formulation that
 must vanish with eps, and the pointwise generator integral whose limit is
 the nonlocal diffusion operator.
@@ -27,7 +29,7 @@ the nonlocal diffusion operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -47,13 +49,13 @@ from .model import (
 
 __all__ = [
     "ProbeFunction",
+    "TimeFactor",
+    "SpaceFactor",
     "constant_probe",
     "gaussian_packet",
     "static_gaussian",
-    "plane_wave",
     "modulated_packet",
     "chi_eval",
-    "chi_dt",
     "chi_dx",
     "hazard_weight",
     "chi_l2_diagnostics",
@@ -89,26 +91,108 @@ def _dbump(s):
     return out
 
 
-@dataclass(frozen=True)
-class ProbeFunction:
-    """Smooth space-time test function with analytic derivatives.
-
-    ``value``, ``dt``, ``dx``, ``dxx`` are vectorized callables of (t, x);
-    t may be a scalar or an array broadcastable against x.  ``t_support``
-    bounds the (compact) time support, and the window ``x_center`` +/-
-    ``x_halfwidth`` is the spatial quadrature box used by the L2
-    diagnostics -- the probe need not vanish there exactly, Gaussian decay
-    is enough.
-
-    Construction cross-checks each supplied derivative against central
-    finite differences of ``value`` at interior sample points; disagreement
-    beyond 1e-6 relative raises :class:`ValidationError`.
-    """
+class TimeFactor(NamedTuple):
+    """Time factor a(t) of a separable probe and its derivative a'(t)."""
 
     value: Callable
-    dt: Callable
-    dx: Callable
-    dxx: Callable
+    deriv: Callable
+
+
+class SpaceFactor(NamedTuple):
+    """Space factor s(x) of a separable probe and its derivatives s', s''."""
+
+    value: Callable
+    d1: Callable
+    d2: Callable
+
+
+def _zeros(y):
+    return np.zeros(np.shape(y))
+
+
+_UNIT_TIME = TimeFactor(lambda t: np.ones(np.shape(t)), _zeros)
+
+
+def _bump_time(t_span) -> TimeFactor:
+    """The bump rescaled to ``t_span``: 1 at its midpoint, vanishing with all
+    derivatives at its endpoints, so the probe is compactly supported in
+    time (as the weak-formulation diagnostics require)."""
+    t0, t1 = t_span
+    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    return TimeFactor(lambda t: _bump((t - mid) / half),
+                      lambda t: _dbump((t - mid) / half) / half)
+
+
+def _constant_space(level: float) -> SpaceFactor:
+    return SpaceFactor(lambda x: np.full(np.shape(x), float(level)), _zeros, _zeros)
+
+
+def _gaussian_space(center: float, width: float, amplitude: float) -> SpaceFactor:
+    if width <= 0:
+        raise ValidationError("parameter constraint violated: width > 0")
+
+    def value(x):
+        u = (np.asarray(x, dtype=float) - center) / width
+        return amplitude * np.exp(-0.5 * u * u)
+
+    def d1(x):
+        x = np.asarray(x, dtype=float)
+        return value(x) * (-(x - center) / width**2)
+
+    def d2(x):
+        u = (np.asarray(x, dtype=float) - center) / width
+        return value(x) * (u * u - 1.0) / width**2
+
+    return SpaceFactor(value, d1, d2)
+
+
+def _modulated_space(center: float, width: float, k: float,
+                     amplitude: float) -> SpaceFactor:
+    """cos(k (x - center)) times a Gaussian envelope."""
+    if width <= 0:
+        raise ValidationError("parameter constraint violated: width > 0")
+
+    def parts(x):
+        # cos, sin, the envelope's log-slope -q and the envelope
+        u = np.asarray(x, dtype=float) - center
+        q = u / width**2
+        return np.cos(k * u), np.sin(k * u), q, amplitude * np.exp(-0.5 * q * u)
+
+    def value(x):
+        c, _, _, env = parts(x)
+        return c * env
+
+    def d1(x):
+        c, sn, q, env = parts(x)
+        return -(k * sn + q * c) * env
+
+    def d2(x):
+        c, sn, q, env = parts(x)
+        return ((q * q - 1.0 / width**2 - k * k) * c + 2.0 * k * q * sn) * env
+
+    return SpaceFactor(value, d1, d2)
+
+
+@dataclass(frozen=True)
+class ProbeFunction:
+    """Separable smooth space-time test function phi(t, x) = a(t) * s(x).
+
+    ``time`` holds a and a', ``space`` holds s, s' and s''.  The methods
+    ``value``, ``dt``, ``dx``, ``dxx`` evaluate phi and its derivatives at
+    (t, x); t may be a scalar or an array broadcastable against x.  The
+    corrector acts on x only, so every flight average is one of the space
+    factor, scaled by the time factor.  ``t_support`` bounds the (compact)
+    time support, and the window ``x_center`` +/- ``x_halfwidth`` is the
+    spatial quadrature box used by the L2 diagnostics -- the probe need not
+    vanish there exactly, Gaussian decay is enough.
+
+    Construction cross-checks a', s' and s'' against central finite
+    differences of a and s at interior sample points; disagreement beyond
+    1e-6 relative raises :class:`ValidationError`.
+    """
+
+    time: TimeFactor
+    space: SpaceFactor
     t_support: tuple
     x_center: float = 0.0
     x_halfwidth: float = 10.0
@@ -122,24 +206,32 @@ class ProbeFunction:
             raise ValidationError("parameter constraint violated: x_halfwidth > 0")
         self._self_check()
 
+    def value(self, t, x):
+        return self.time.value(t) * self.space.value(x)
+
+    def dt(self, t, x):
+        return self.time.deriv(t) * self.space.value(x)
+
+    def dx(self, t, x):
+        return self.time.value(t) * self.space.d1(x)
+
+    def dxx(self, t, x):
+        return self.time.value(t) * self.space.d2(x)
+
     def _self_check(self) -> None:
         t0, t1 = self.t_support
-        ts = t0 + (t1 - t0) * np.array([0.29, 0.5, 0.71])[:, None]
+        ts = t0 + (t1 - t0) * np.array([0.29, 0.5, 0.71])
         xs = self.x_center + self.x_halfwidth * np.array([-0.43, -0.11, 0.03, 0.3])
-        ht = 1e-4 * (t1 - t0)   # time-derivative scale is set by the span
-        h = 1e-4
-        base = self.value(ts, xs)
-        scale = float(np.max(np.abs(base))) + 1e-30
+        a, s, h = self.time.value, self.space.value, 1e-4
+        ht = h * (t1 - t0)   # time-derivative scale is set by the span
         checks = (
-            ("dt", self.dt(ts, xs),
-             (self.value(ts + ht, xs) - self.value(ts - ht, xs)) / (2 * ht)),
-            ("dx", self.dx(ts, xs),
-             (self.value(ts, xs + h) - self.value(ts, xs - h)) / (2 * h)),
-            ("dxx", self.dxx(ts, xs),
-             (self.value(ts, xs + h) - 2 * base + self.value(ts, xs - h)) / h**2),
+            ("dt", a(ts), self.time.deriv(ts), (a(ts + ht) - a(ts - ht)) / (2 * ht)),
+            ("dx", s(xs), self.space.d1(xs), (s(xs + h) - s(xs - h)) / (2 * h)),
+            ("dxx", s(xs), self.space.d2(xs),
+             (s(xs + h) - 2 * s(xs) + s(xs - h)) / h**2),
         )
-        for name, analytic, fd in checks:
-            tol = 1e-6 * (scale + np.abs(analytic))
+        for name, base, analytic, fd in checks:
+            tol = 1e-6 * (float(np.max(np.abs(base))) + 1e-30 + np.abs(analytic))
             if not np.all(np.abs(np.asarray(analytic) - fd) <= tol):
                 raise ValidationError(
                     f"probe self-check failed: {name} does not match finite differences"
@@ -148,153 +240,36 @@ class ProbeFunction:
 
 def constant_probe(level: float = 1.0, t_span=(0.0, 1.0)) -> ProbeFunction:
     """Probe that is constant in both t and x."""
-
-    def const(t, x):
-        return level * np.ones(np.broadcast_shapes(np.shape(t), np.shape(x)))
-
-    def zero(t, x):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
-
-    return ProbeFunction(value=const, dt=zero, dx=zero, dxx=zero,
-                         t_support=t_span, label="constant")
+    return ProbeFunction(_UNIT_TIME, _constant_space(level), t_support=t_span,
+                         label="constant")
 
 
 def gaussian_packet(*, center: float = 10.0, width: float = 1.0,
                     amplitude: float = 1.0, t_span=(0.0, 1.0),
                     label: str = "gaussian-packet") -> ProbeFunction:
-    """Gaussian in x modulated by a compact smooth bump in t.
-
-    The bump equals 1 at the midpoint of ``t_span`` and vanishes with all
-    derivatives at its endpoints, so the probe is compactly supported in
-    time (as the weak-formulation diagnostics require).
-    """
-    if width <= 0:
-        raise ValidationError("parameter constraint violated: width > 0")
-    t0, t1 = t_span
-    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-
-    def s_of(t):
-        return (np.asarray(t, dtype=float) - mid) / half
-
-    def gauss(x):
-        u = (np.asarray(x, dtype=float) - center) / width
-        return np.exp(-0.5 * u * u)
-
-    def value(t, x):
-        return amplitude * _bump(s_of(t)) * gauss(x)
-
-    def dt(t, x):
-        return amplitude * _dbump(s_of(t)) / half * gauss(x)
-
-    def dx(t, x):
-        x = np.asarray(x, dtype=float)
-        return value(t, x) * (-(x - center) / width**2)
-
-    def dxx(t, x):
-        x = np.asarray(x, dtype=float)
-        u = (x - center) / width
-        return value(t, x) * (u * u - 1.0) / width**2
-
-    return ProbeFunction(value=value, dt=dt, dx=dx, dxx=dxx, t_support=t_span,
-                         x_center=center, x_halfwidth=max(8.0 * width, 1.0),
-                         label=label)
+    """Gaussian in x modulated by the compact smooth bump over ``t_span``."""
+    return ProbeFunction(_bump_time(t_span), _gaussian_space(center, width, amplitude),
+                         t_support=t_span, x_center=center,
+                         x_halfwidth=max(8.0 * width, 1.0), label=label)
 
 
 def static_gaussian(*, center: float = 10.0, width: float = 1.0,
                     amplitude: float = 1.0, box_t=(0.0, 1.0),
                     label: str = "static-gaussian") -> ProbeFunction:
     """Time-independent Gaussian (dt = 0); for pointwise generator checks."""
-    if width <= 0:
-        raise ValidationError("parameter constraint violated: width > 0")
-
-    def value(t, x):
-        u = (np.asarray(x, dtype=float) - center) / width
-        return amplitude * np.exp(-0.5 * u * u) * np.ones(np.shape(t))
-
-    def zero(t, x):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
-
-    def dx(t, x):
-        x = np.asarray(x, dtype=float)
-        return value(t, x) * (-(x - center) / width**2)
-
-    def dxx(t, x):
-        x = np.asarray(x, dtype=float)
-        u = (x - center) / width
-        return value(t, x) * (u * u - 1.0) / width**2
-
-    return ProbeFunction(value=value, dt=zero, dx=dx, dxx=dxx, t_support=box_t,
-                         x_center=center, x_halfwidth=max(8.0 * width, 1.0),
-                         label=label)
-
-
-def plane_wave(xi: float, *, amplitude: float = 1.0,
-               label: str = "plane-wave") -> ProbeFunction:
-    """cos(xi * x), time-independent.  Admits a closed-form corrector when
-    the collision frequency is spatially flat, which makes it the reference
-    oracle for the quadrature machinery."""
-    if xi == 0:
-        raise ValidationError("parameter constraint violated: xi != 0")
-
-    def value(t, x):
-        return amplitude * np.cos(xi * np.asarray(x, dtype=float)) * np.ones(np.shape(t))
-
-    def zero(t, x):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
-
-    def dx(t, x):
-        return -amplitude * xi * np.sin(xi * np.asarray(x, dtype=float)) * np.ones(np.shape(t))
-
-    def dxx(t, x):
-        return -(xi**2) * value(t, x)
-
-    return ProbeFunction(value=value, dt=zero, dx=dx, dxx=dxx,
-                         t_support=(0.0, 1.0), x_center=0.0,
-                         x_halfwidth=np.pi / abs(xi), label=label)
+    return ProbeFunction(_UNIT_TIME, _gaussian_space(center, width, amplitude),
+                         t_support=box_t, x_center=center,
+                         x_halfwidth=max(8.0 * width, 1.0), label=label)
 
 
 def modulated_packet(*, center: float = 10.0, width: float = 1.0,
                      wavenumber: float = 2.0, amplitude: float = 1.0,
                      t_span=(0.0, 1.0), label: str = "modulated-packet") -> ProbeFunction:
     """Plane wave times a Gaussian envelope, bump-modulated in time."""
-    if width <= 0:
-        raise ValidationError("parameter constraint violated: width > 0")
-    t0, t1 = t_span
-    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    k = wavenumber
-
-    def s_of(t):
-        return (np.asarray(t, dtype=float) - mid) / half
-
-    def parts(x):
-        u = np.asarray(x, dtype=float) - center
-        env = np.exp(-0.5 * (u / width) ** 2)
-        return u, env
-
-    def value(t, x):
-        u, env = parts(x)
-        return amplitude * _bump(s_of(t)) * np.cos(k * u) * env
-
-    def dt(t, x):
-        u, env = parts(x)
-        return amplitude * _dbump(s_of(t)) / half * np.cos(k * u) * env
-
-    def dx(t, x):
-        u, env = parts(x)
-        core = -k * np.sin(k * u) - (u / width**2) * np.cos(k * u)
-        return amplitude * _bump(s_of(t)) * core * env
-
-    def dxx(t, x):
-        u, env = parts(x)
-        ge1 = -(u / width**2)
-        ge2 = (u * u / width**4 - 1.0 / width**2)
-        core = (-k * k * np.cos(k * u) - 2.0 * k * np.sin(k * u) * ge1
-                + np.cos(k * u) * ge2)
-        return amplitude * _bump(s_of(t)) * core * env
-
-    return ProbeFunction(value=value, dt=dt, dx=dx, dxx=dxx, t_support=t_span,
-                         x_center=center, x_halfwidth=max(8.0 * width, 1.0),
-                         label=label)
+    return ProbeFunction(_bump_time(t_span),
+                         _modulated_space(center, width, wavenumber, amplitude),
+                         t_support=t_span, x_center=center,
+                         x_halfwidth=max(8.0 * width, 1.0), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +353,7 @@ def _flight(params: ModelParams, x, v, eps: float, nodes: int = 64) -> _Flight:
 
 
 def _dx_rate(params: ModelParams, fl: _Flight):
-    """t-independent factor multiplying phi in the dchi/dx integrand.
+    """Factor multiplying the probe in the dchi/dx integrand.
 
     The derivative of the arrival rate, dnu0/nu0, minus the derivative of
     the survival weight; None when the rate is flat (both vanish).
@@ -392,11 +367,11 @@ def _dx_rate(params: ModelParams, fl: _Flight):
     return dnu0(params, fl.pts) / nu0(params, fl.pts) - growth
 
 
-def _dchi(phi: ProbeFunction, t, fl: _Flight, rate):
-    """dchi/dx at time t from the flight geometry and its rate factor."""
+def _dchi_space(space: SpaceFactor, fl: _Flight, rate):
+    """<rate s + s'> on the flight geometry: dchi/dx divided by a(t)."""
     if rate is None:
-        return fl.average(phi.dx(t, fl.pts))
-    return fl.average(rate * phi.value(t, fl.pts) + phi.dx(t, fl.pts))
+        return fl.average(space.d1(fl.pts))
+    return fl.average(rate * space.value(fl.pts) + space.d1(fl.pts))
 
 
 def chi_eval(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
@@ -409,15 +384,7 @@ def chi_eval(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
     """
     _check_eps(eps)
     fl = _flight(params, x, v, eps, nodes)
-    return fl.average(phi.value(t, fl.pts))
-
-
-def chi_dt(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
-           *, nodes: int = 64):
-    """Time derivative of chi: the same flight average applied to dphi/dt."""
-    _check_eps(eps)
-    fl = _flight(params, x, v, eps, nodes)
-    return fl.average(phi.dt(t, fl.pts))
+    return phi.time.value(t) * fl.average(phi.space.value(fl.pts))
 
 
 def chi_dx(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
@@ -435,7 +402,7 @@ def chi_dx(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
     """
     _check_eps(eps)
     fl = _flight(params, x, v, eps, nodes)
-    return _dchi(phi, t, fl, _dx_rate(params, fl))
+    return phi.time.value(t) * _dchi_space(phi.space, fl, _dx_rate(params, fl))
 
 
 def hazard_weight(params: ModelParams, x, v, eps: float, *, nodes: int = 64):
@@ -485,11 +452,19 @@ def chi_l2_diagnostics(params: ModelParams, phi: ProbeFunction, eps: float, *,
     equilibrium tail mass times phi^2 beyond (where the corrector has
     decayed).  ``bound_ratio`` is ||chi||^2_{L2_F(t,x,v)} / ||phi||^2_{L2(t,x)},
     which the flight-average structure bounds by nu2/nu1.  The ``_dt``
-    entries are the same two numbers for the time derivatives; all four
-    share one quadrature box and one flight geometry.
+    entries are the same two numbers for the time derivatives.  chi - phi
+    = a(t) (<s> - s) and d_t(chi - phi) = a'(t) (<s> - s), so each number is
+    a spatial sum over one flight average of s times the time integral of
+    a^2 or a'^2.  A time-independent probe (a' = 0) leaves the d/dt ratio
+    0/0 and raises :class:`ValidationError`.
     """
     _check_eps(eps)
     tq, wt = _legendre_rule(phi.t_support[0], phi.t_support[1], nt)
+    a2, da2 = wt @ phi.time.value(tq) ** 2, wt @ phi.time.deriv(tq) ** 2
+    if da2 == 0.0:
+        raise ValidationError(
+            f"probe '{phi.label}' is time-independent: the d/dt bound ratio "
+            "is undefined")
     xq, wx = _legendre_rule(phi.x_center - phi.x_halfwidth,
                             phi.x_center + phi.x_halfwidth, nxq)
     vgrid = _gap_vgrid(params, eps, nv)
@@ -497,16 +472,12 @@ def chi_l2_diagnostics(params: ModelParams, phi: ProbeFunction, eps: float, *,
     tail = 2.0 * params.kappa / params.alpha * vgrid.vmax ** (-params.alpha)
     fl = _flight(params, xq[:, None], vgrid.v[None, :], eps, nodes)
 
+    ref = phi.space.value(xq)
+    chi = fl.average(phi.space.value(fl.pts))
+    ref_sq = wx @ ref**2
+    bulk = wx @ (((chi - ref[:, None]) ** 2) @ fw)
     # rows: values, time derivatives; columns: gap, ||chi||^2, ||phi||^2
-    sums = np.zeros((2, 3))
-    for ti, wti in zip(tq, wt):
-        for row, base in zip(sums, (phi.value, phi.dt)):
-            ref = base(ti, xq)
-            chi = fl.average(base(ti, fl.pts))
-            ref_sq = wx @ ref**2
-            bulk = wx @ (((chi - ref[:, None]) ** 2) @ fw)
-            row += wti * np.array([bulk + tail * ref_sq,
-                                   wx @ ((chi**2) @ fw), ref_sq])
+    sums = np.outer([a2, da2], [bulk + tail * ref_sq, wx @ ((chi**2) @ fw), ref_sq])
     (gap, num, den), (gap_dt, num_dt, den_dt) = sums
     return {"gap": float(gap), "gap_dt": float(gap_dt),
             "bound_ratio": float(num / den),
@@ -518,12 +489,9 @@ def chi_l2_diagnostics(params: ModelParams, phi: ProbeFunction, eps: float, *,
 # ---------------------------------------------------------------------------
 
 
-def _require_phase(run) -> None:
+def _phase_times(run, phi: ProbeFunction) -> np.ndarray:
     if not getattr(run, "phase", None):
         raise ValidationError("kinetic run does not carry phase-space snapshots")
-
-
-def _phase_times(run, phi: ProbeFunction) -> np.ndarray:
     times = np.asarray(run.times, dtype=float)
     if phi.t_support[1] > times[-1] + 1e-12:
         raise ValidationError(
@@ -539,24 +507,19 @@ def corrector_term_qplus(params: ModelParams, eps: float, phi: ProbeFunction,
     eps^-gamma int dt dx dv  Q+(g)(t,x,v) [chi(t,x,v) - phi(t,x)], where
     g = f - rho F is the run's deviation from local equilibrium.  The gain
     operator is rank one in v, so the v-integral collapses to the discrete
-    moment sum; time integration uses Simpson's rule on the stored snapshot
-    times.
+    moment sum against the t-independent kernel nu0 ((<s> - s) @ gain);
+    time integration uses Simpson's rule on the stored snapshot times.
     """
     _check_eps(eps)
-    _require_phase(run)
     times = _phase_times(run, phi)
     centers = run.xgrid.centers
-    nu_x = nu0(params, centers)
-    wv = run.dvm.vgrid.weights
-    gain = run.dvm.p_gain * wv
-    fl = _flight(params, centers[:, None], run.dvm.vgrid.v[None, :], eps)
-    vals = np.empty(times.size)
-    for i, t in enumerate(times):
-        g = run.g_snapshot(i)
-        mb = run.dvm.moment_beta(g)
-        chi = fl.average(phi.value(float(t), fl.pts))
-        delta = chi - phi.value(float(t), centers)[:, None]
-        vals[i] = run.xgrid.dx * float(np.sum(nu_x * mb * (delta @ gain)))
+    gain = run.dvm.p_gain * run.dvm.vgrid.weights
+    fl = _flight(params, run.xgrid.centers[:, None], run.dvm.vgrid.v[None, :], eps)
+    delta = fl.average(phi.space.value(fl.pts)) - phi.space.value(centers)[:, None]
+    kernel = nu0(params, centers) * (delta @ gain)
+    vals = np.array([kernel @ run.dvm.moment_beta(run.g_snapshot(i))
+                     for i in range(times.size)])
+    vals *= run.xgrid.dx * phi.time.value(times)
     return float(eps ** (-params.gamma) * simpson(vals, x=times))
 
 
@@ -567,17 +530,13 @@ def corrector_term_drift_g(params: ModelParams, eps: float, phi: ProbeFunction,
     j = drift(params, eps)
     if j == 0.0:
         return 0.0
-    _require_phase(run)
     times = _phase_times(run, phi)
-    centers = run.xgrid.centers
     wv = run.dvm.vgrid.weights
-    fl = _flight(params, centers[:, None], run.dvm.vgrid.v[None, :], eps)
-    rate = _dx_rate(params, fl)
-    vals = np.empty(times.size)
-    for i, t in enumerate(times):
-        g = run.g_snapshot(i)
-        dchi = _dchi(phi, float(t), fl, rate)
-        vals[i] = run.xgrid.dx * float(np.sum((g * dchi) @ wv))
+    fl = _flight(params, run.xgrid.centers[:, None], run.dvm.vgrid.v[None, :], eps)
+    dchi = _dchi_space(phi.space, fl, _dx_rate(params, fl))
+    vals = np.array([np.sum((run.g_snapshot(i) * dchi) @ wv)
+                     for i in range(times.size)])
+    vals *= run.xgrid.dx * phi.time.value(times)
     return float(eps ** (1.0 - params.gamma) * j * simpson(vals, x=times))
 
 
@@ -585,24 +544,19 @@ def corrector_term_drift_rho(params: ModelParams, eps: float,
                              phi: ProbeFunction, run) -> float:
     """Drift remainder against the local-equilibrium part.
 
-    eps^{1-gamma} j int dt dx rho(t,x) int dv F(v) [dchi/dx - dphi/dx].
+    eps^{1-gamma} j int dt dx rho(t,x) int dv F(v) [dchi/dx - dphi/dx]; the
+    v-integral is the t-independent kernel (<rate s + s'> - s') @ F.
     """
     _check_eps(eps)
     j = drift(params, eps)
     if j == 0.0:
         return 0.0
-    _require_phase(run)
     times = _phase_times(run, phi)
-    centers = run.xgrid.centers
     fw = run.dvm.vgrid.weights * run.dvm.f_eq
-    fl = _flight(params, centers[:, None], run.dvm.vgrid.v[None, :], eps)
-    rate = _dx_rate(params, fl)
-    vals = np.empty(times.size)
-    for i, t in enumerate(times):
-        rho = run.rho[i]
-        dchi = _dchi(phi, float(t), fl, rate)
-        dref = phi.dx(float(t), centers)[:, None]
-        vals[i] = run.xgrid.dx * float(rho @ ((dchi - dref) @ fw))
+    fl = _flight(params, run.xgrid.centers[:, None], run.dvm.vgrid.v[None, :], eps)
+    dchi = _dchi_space(phi.space, fl, _dx_rate(params, fl))
+    kernel = (dchi - phi.space.d1(run.xgrid.centers)[:, None]) @ fw
+    vals = run.xgrid.dx * phi.time.value(times) * (np.asarray(run.rho) @ kernel)
     return float(eps ** (1.0 - params.gamma) * j * simpson(vals, x=times))
 
 

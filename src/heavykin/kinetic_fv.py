@@ -360,9 +360,13 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
             raise NumericError(f"solver produced negative densities at "
                                f"t={fld.time:.6g} after {steps} steps; "
                                "positivity lost")
+        gnorm2 = fld.gnorm2()
+        if not np.isfinite(gnorm2):
+            raise NumericError(f"solver produced a non-finite deviation norm "
+                               f"at t={fld.time:.6g} after {steps} steps")
         times.append(fld.time)
         rhos.append(dens.values.copy())
-        gnorms.append(fld.gnorm2())
+        gnorms.append(gnorm2)
         masses.append(fld.mass())
         rhol2.append(dens.l2_norm())
         if store_phase:

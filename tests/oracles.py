@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from heavykin import ModelParams
+from heavykin import ModelParams, ValidationError
+from heavykin import corrector as co
 
 
 def integral_real_line(fn, tol: float = 1e-13) -> float:
@@ -81,3 +82,32 @@ def gaussian_fractional_laplacian(x: float, center: float, width: float,
 
     val, _ = quad(integrand, 0.0, 40.0 / width, limit=200)
     return val / np.pi
+
+
+def plane_wave(xi: float, *, amplitude: float = 1.0,
+               label: str = "plane-wave") -> co.ProbeFunction:
+    """cos(xi * x), time-independent.  Admits a closed-form corrector when
+    the collision frequency is spatially flat, which makes it the reference
+    oracle for the quadrature machinery."""
+    if xi == 0:
+        raise ValidationError("parameter constraint violated: xi != 0")
+
+    def value(x):
+        return amplitude * np.cos(xi * np.asarray(x, dtype=float))
+
+    def d1(x):
+        return -amplitude * xi * np.sin(xi * np.asarray(x, dtype=float))
+
+    space = co.SpaceFactor(value, d1, lambda x: -(xi**2) * value(x))
+    return co.ProbeFunction(co._UNIT_TIME, space, t_support=(0.0, 1.0),
+                            x_center=0.0, x_halfwidth=np.pi / abs(xi),
+                            label=label)
+
+
+def chi_dt(params: ModelParams, t, x, v, eps: float, phi: co.ProbeFunction,
+           *, nodes: int = 64):
+    """Time derivative of chi, as the flight average of dphi/dt sampled at
+    every arrival point: a route apart from the factored a'(t) <s>."""
+    co._check_eps(eps)
+    fl = co._flight(params, x, v, eps, nodes)
+    return fl.average(phi.dt(t, fl.pts))

@@ -6,6 +6,7 @@ writers, the round-trips, and the exit-code contract, not the physics.
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -447,6 +448,20 @@ def test_cli_chi_check_bounds_time_derivative_ratio(tmp_path, capsys,
     verdict = json.loads((out / "chi_check.json").read_text())["verdicts"][1]
     assert verdict["criterion"] == "corrector-boundedness"
     assert verdict["metrics"]["ratios_dt"] == [1.5]
+
+
+def test_cli_chi_check_rejects_time_independent_probe(tmp_path, capsys):
+    # a constant probe has a' = 0, so the d/dt bound ratio is 0/0: a usage
+    # error before any output, not a NaN handed to the writers
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, TINY.replace("0.4, 0.2", "0.3")
+                    + "experiment.phi_choice = constant\n"
+                    + f"output.dir = {out}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["chi-check", "--config", cfg]) == 2
+    assert "time-independent" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_sweep_writes_report(tmp_path, capsys):

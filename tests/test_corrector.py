@@ -1,5 +1,7 @@
 """Corrector: probe catalogue, flight averages, gaps, remainder terms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
@@ -9,6 +11,8 @@ from heavykin import corrector as co
 from heavykin.grids import DiscreteModel, SpatialGrid, VelocityGrid, periodized_gaussian
 from heavykin.kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from heavykin.model import drift, equilibrium_pdf, nu0, vel_bracket
+
+from oracles import chi_dt, plane_wave
 
 
 FLAT = ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.5)
@@ -24,18 +28,22 @@ def test_probe_catalogue_selfchecks():
     for phi in (co.constant_probe(2.0),
                 co.gaussian_packet(center=10.0, width=1.3, t_span=(0.0, 0.5)),
                 co.static_gaussian(center=4.0, width=0.8),
-                co.plane_wave(0.9),
+                plane_wave(0.9),
                 co.modulated_packet(center=10.0, width=1.5, wavenumber=2.0)):
         assert isinstance(phi, co.ProbeFunction)
 
 
 def test_probe_selfcheck_rejects_wrong_derivative():
     good = co.gaussian_packet(center=10.0)
-    with pytest.raises(ValidationError, match="self-check"):
-        co.ProbeFunction(value=good.value, dt=good.dt,
-                         dx=lambda t, x: 1.1 * good.dx(t, x), dxx=good.dxx,
-                         t_support=good.t_support, x_center=good.x_center,
-                         x_halfwidth=good.x_halfwidth)
+    t, s = good.time, good.space
+    for name, time, space in (
+            ("dt", t._replace(deriv=lambda y: 1.1 * t.deriv(y)), s),
+            ("dx", t, s._replace(d1=lambda x: 1.1 * s.d1(x))),
+            ("dxx", t, s._replace(d2=lambda x: 1.1 * s.d2(x)))):
+        with pytest.raises(ValidationError, match=f"self-check failed: {name} "):
+            co.ProbeFunction(time, space, t_support=good.t_support,
+                             x_center=good.x_center,
+                             x_halfwidth=good.x_halfwidth)
 
 
 def test_probe_validation():
@@ -44,7 +52,7 @@ def test_probe_validation():
     with pytest.raises(ValidationError, match="width"):
         co.gaussian_packet(width=0.0)
     with pytest.raises(ValidationError, match="xi"):
-        co.plane_wave(0.0)
+        plane_wave(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +97,7 @@ def _cosine_oracle(params, xi, x, v, eps):
 def test_chi_cosine_closed_form_flat_beta():
     # the Laguerre rule is spectrally accurate while the flight-phase
     # eps*xi*v stays below ~3; all combinations here keep it under 2.5
-    phi = co.plane_wave(0.9)
+    phi = plane_wave(0.9)
     x = np.array([0.0, 2.3, 11.1])
     for eps, vs in ((0.5, (-5.0, -0.6, 0.3, 1.7, 5.0)),
                     (0.1, (-25.0, -0.6, 1.7, 25.0)),
@@ -104,7 +112,7 @@ def test_chi_cosine_closed_form_degenerate_rate():
     # beta != 0: the flight shift carries the bracket weight, so the phase of
     # the closed form is eps*xi*v*bracket(v)^-beta
     params = ModelParams(alpha=1.5, beta=0.25, kappa=0.2)
-    phi = co.plane_wave(0.9)
+    phi = plane_wave(0.9)
     x = np.array([1.0, 7.7])
     for eps in (0.15, 0.05):
         for v in (-40.0, -2.0, 0.4, 5.0, 40.0):
@@ -118,16 +126,11 @@ def test_chi_affine_exact():
     # first moment of the unit exponential -- exact at any quadrature order
     p, q = 0.7, -0.3
 
-    def lin(t, x):
-        return p * np.asarray(x, dtype=float) + q * np.ones(np.shape(t))
-
-    def czero(t, x):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
-
-    phi = co.ProbeFunction(value=lin, dt=czero,
-                           dx=lambda t, x: p * np.ones(np.broadcast_shapes(np.shape(t), np.shape(x))),
-                           dxx=czero, t_support=(0.0, 1.0), x_center=0.0,
-                           x_halfwidth=5.0)
+    space = co.SpaceFactor(lambda x: p * np.asarray(x, dtype=float) + q,
+                           lambda x: p * np.ones(np.shape(x)),
+                           lambda x: np.zeros(np.shape(x)))
+    phi = co.ProbeFunction(co._UNIT_TIME, space, t_support=(0.0, 1.0),
+                           x_center=0.0, x_halfwidth=5.0)
     for eps in (0.8, 0.1):
         for v in (-3.0, 0.0, 0.25, 9.0):
             got = co.chi_eval(FLAT, 0.0, 1.3, v, eps, phi)
@@ -176,7 +179,7 @@ def test_chi_dt_matches_finite_difference(asym_params):
     for eps, v, x in ((0.4, 2.2, 8.3), (0.07, -17.0, 10.5)):
         fd = (co.chi_eval(asym_params, 0.55 + h, x, v, eps, phi)
               - co.chi_eval(asym_params, 0.55 - h, x, v, eps, phi)) / (2 * h)
-        an = co.chi_dt(asym_params, 0.55, x, v, eps, phi)
+        an = chi_dt(asym_params, 0.55, x, v, eps, phi)
         assert an == pytest.approx(fd, rel=2e-6, abs=1e-9)
 
 
@@ -204,32 +207,19 @@ def test_gap_decreasing_in_eps(asym_params):
 
 
 def test_gap_zero_for_space_constant(asym_params):
-    level = 2.0
     t0, t1 = 0.0, 1.0
-
-    def value(t, x):
-        s = (np.asarray(t, dtype=float) - 0.5) / 0.5
-        return level * co._bump(s) * np.ones(np.shape(np.asarray(x)))
-
-    def dt(t, x):
-        s = (np.asarray(t, dtype=float) - 0.5) / 0.5
-        return level * co._dbump(s) / 0.5 * np.ones(np.shape(np.asarray(x)))
-
-    def zero(t, x):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(x)))
-
-    phi = co.ProbeFunction(value=value, dt=dt, dx=zero, dxx=zero,
+    phi = co.ProbeFunction(co._bump_time((t0, t1)), co._constant_space(2.0),
                            t_support=(t0, t1), x_center=10.0, x_halfwidth=5.0)
     # chi == phi pointwise for x-constant probes, so only the analytic tail
     # bookkeeping (phi^2 * tail mass) survives; it is not a gap. Check the
-    # bulk part alone by subtracting it.
+    # bulk part alone by subtracting it; the tolerance is summation order.
     gap = co.chi_l2_diagnostics(asym_params, phi, 0.1, nt=8, nxq=16, nv=65)["gap"]
     tq, wt = co._legendre_rule(t0, t1, 8)
     xq, wx = co._legendre_rule(5.0, 15.0, 16)
     vmax = co._gap_vgrid(asym_params, 0.1, 65).vmax
     tail = (2 * asym_params.kappa / asym_params.alpha) * vmax ** (-asym_params.alpha)
-    tail_part = sum(w * tail * (wx @ value(t, xq) ** 2) for t, w in zip(tq, wt))
-    assert gap == pytest.approx(tail_part, abs=1e-20)
+    tail_part = sum(w * tail * (wx @ phi.value(t, xq) ** 2) for t, w in zip(tq, wt))
+    assert gap == pytest.approx(tail_part, rel=1e-14)
 
 
 def test_bound_ratio_below_paper_constant(asym_params):
@@ -250,8 +240,9 @@ def test_gap_box_raises_when_critical_speed_overflows():
 
 
 def test_gap_and_ratio_equal_per_node_loop(asym_params):
-    # the hazard is inverted once per call; each of the four numbers must
-    # equal a loop that evaluates chi (or dchi/dt) afresh at every time node
+    # the hazard is inverted and the space factor averaged once per call;
+    # each of the four numbers must match a loop that evaluates chi (or
+    # dchi/dt) afresh at every time node, up to summation order
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
     eps, nt, nxq, nv = 0.15, 6, 16, 65
     tq, wt = co._legendre_rule(0.0, 0.5, nt)
@@ -264,7 +255,7 @@ def test_gap_and_ratio_equal_per_node_loop(asym_params):
     got = co.chi_l2_diagnostics(asym_params, phi, eps, nt=nt, nxq=nxq, nv=nv)
     assert sorted(got) == ["bound_ratio", "bound_ratio_dt", "gap", "gap_dt"]
     for suffix, base, evaluate in (("", phi.value, co.chi_eval),
-                                   ("_dt", phi.dt, co.chi_dt)):
+                                   ("_dt", phi.dt, chi_dt)):
         total = num = den = 0.0
         for ti, wti in zip(tq, wt):
             ref = base(ti, xq)
@@ -273,8 +264,29 @@ def test_gap_and_ratio_equal_per_node_loop(asym_params):
                             + tail * (wx @ ref**2))
             num += wti * (wx @ ((chi**2) @ fw))
             den += wti * (wx @ ref**2)
-        assert got["gap" + suffix] == float(total)
-        assert got["bound_ratio" + suffix] == float(num / den)
+        assert got["gap" + suffix] == pytest.approx(float(total), rel=1e-12)
+        assert got["bound_ratio" + suffix] == pytest.approx(float(num / den),
+                                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [co.gaussian_packet, co.modulated_packet])
+def test_gap_and_ratio_factor_in_time(asym_params, make):
+    # chi - phi = a(t) (<s> - s) and its t-derivative is a'(t) (<s> - s):
+    # both ratios agree, and the gaps differ by the time integrals alone
+    phi = make(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    nt = 12
+    got = co.chi_l2_diagnostics(asym_params, phi, 0.15, nt=nt, nxq=16, nv=65)
+    tq, wt = co._legendre_rule(0.0, 0.5, nt)
+    a2, da2 = wt @ phi.time.value(tq) ** 2, wt @ phi.time.deriv(tq) ** 2
+    assert got["bound_ratio_dt"] == pytest.approx(got["bound_ratio"], rel=1e-14)
+    assert got["gap_dt"] / got["gap"] == pytest.approx(da2 / a2, rel=1e-14)
+
+
+def test_gap_rejects_time_independent_probe(asym_params):
+    # a' = 0 makes the d/dt ratio 0/0: a typed error, not a NaN
+    for phi in (co.static_gaussian(center=10.0), co.constant_probe()):
+        with pytest.raises(ValidationError, match="time-independent"):
+            co.chi_l2_diagnostics(asym_params, phi, 0.2, nt=4, nxq=8, nv=33)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +399,8 @@ def _remainders_per_node(params, eps, phi, run):
 
 def test_remainders_equal_per_node_loop(asym_params):
     # delta = 0.3 with a drift exercises the general dchi/dx branch, FLAT the
-    # flat-rate one; hoisting the flight geometry must not change a bit
+    # flat-rate one; forming the t-independent kernels once changes only the
+    # summation order
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
     for params in (asym_params, FLAT):
         assert drift(params, 0.3) != 0.0
@@ -395,7 +408,8 @@ def test_remainders_equal_per_node_loop(asym_params):
         got = tuple(term(params, 0.3, phi, run) for term in
                     (co.corrector_term_qplus, co.corrector_term_drift_g,
                      co.corrector_term_drift_rho))
-        assert got == _remainders_per_node(params, 0.3, phi, run)
+        assert got == pytest.approx(_remainders_per_node(params, 0.3, phi, run),
+                                    rel=1e-12)
 
 
 def test_hazard_inverted_once_per_call(asym_params, monkeypatch):
@@ -416,6 +430,37 @@ def test_hazard_inverted_once_per_call(asym_params, monkeypatch):
         assert len(calls) == 1
     # all four L2 numbers (gap and bound ratio, values and d/dt) from one
     # inversion
+    calls.clear()
+    co.chi_l2_diagnostics(asym_params, phi, 0.3, nt=8, nxq=16, nv=65)
+    assert len(calls) == 1
+
+
+def test_space_factor_averaged_once_per_call(asym_params):
+    # the space factor is sampled on the (x, v, node) arrival points a fixed
+    # number of times per call, however many snapshots or time nodes there are
+    calls = []
+
+    def counting(fn):
+        def wrapped(x):
+            if np.ndim(x) == 3:
+                calls.append(fn)
+            return fn(x)
+        return wrapped
+
+    base = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    phi = dataclasses.replace(
+        base, space=co.SpaceFactor(*(counting(f) for f in base.space)))
+    counts = {}
+    for n_times in (6, 12):
+        run = _small_run(asym_params, 0.3, nx=32, nv=33, n_times=n_times)
+        for term in (co.corrector_term_qplus, co.corrector_term_drift_g,
+                     co.corrector_term_drift_rho):
+            calls.clear()
+            term(asym_params, 0.3, phi, run)
+            counts[term.__name__, n_times] = len(calls)
+    for name in ("corrector_term_qplus", "corrector_term_drift_g",
+                 "corrector_term_drift_rho"):
+        assert 1 <= counts[name, 6] == counts[name, 12] <= 2
     calls.clear()
     co.chi_l2_diagnostics(asym_params, phi, 0.3, nt=8, nxq=16, nv=65)
     assert len(calls) == 1

@@ -11,7 +11,7 @@ from heavykin.errors import NumericError, ValidationError
 from heavykin.grids import DensityField, SpatialGrid, periodized_gaussian
 from heavykin.model import ModelParams, nu0
 
-from oracles import gaussian_fractional_laplacian
+from oracles import gaussian_fractional_laplacian, plane_wave
 
 FLAT = ModelParams(alpha=0.5, beta=0.0, kappa=0.2)                    # gamma = 1/2
 MOD = ModelParams(alpha=0.5, beta=0.0, kappa=0.2, nu0_delta=0.3)
@@ -368,7 +368,7 @@ def test_pointwise_operator_mirror_symmetry():
 
 def test_pointwise_operator_rejects_nondecaying_probe():
     with pytest.raises(NumericError):
-        nl.nonlocal_operator_at(FLAT, co.plane_wave(0.9), 0.0, 3.0)
+        nl.nonlocal_operator_at(FLAT, plane_wave(0.9), 0.0, 3.0)
 
 
 def test_operator_limit_matches_pointwise_kernel_route():
