@@ -49,8 +49,6 @@ from .model import (
 
 __all__ = [
     "ProbeFunction",
-    "TimeFactor",
-    "SpaceFactor",
     "constant_probe",
     "gaussian_packet",
     "static_gaussian",
@@ -500,6 +498,11 @@ def _phase_times(run, phi: ProbeFunction) -> np.ndarray:
     return times
 
 
+def _run_flight(params: ModelParams, run, eps: float) -> _Flight:
+    """Flight geometry from every (cell centre, velocity node) of ``run``."""
+    return _flight(params, run.xgrid.centers[:, None], run.dvm.vgrid.v[None, :], eps)
+
+
 def corrector_term_qplus(params: ModelParams, eps: float, phi: ProbeFunction,
                          run) -> float:
     """Gain-term remainder of the weak formulation.
@@ -514,7 +517,7 @@ def corrector_term_qplus(params: ModelParams, eps: float, phi: ProbeFunction,
     times = _phase_times(run, phi)
     centers = run.xgrid.centers
     gain = run.dvm.p_gain * run.dvm.vgrid.weights
-    fl = _flight(params, run.xgrid.centers[:, None], run.dvm.vgrid.v[None, :], eps)
+    fl = _run_flight(params, run, eps)
     delta = fl.average(phi.space.value(fl.pts)) - phi.space.value(centers)[:, None]
     kernel = nu0(params, centers) * (delta @ gain)
     vals = np.array([kernel @ run.dvm.moment_beta(run.g_snapshot(i))
@@ -532,7 +535,7 @@ def corrector_term_drift_g(params: ModelParams, eps: float, phi: ProbeFunction,
         return 0.0
     times = _phase_times(run, phi)
     wv = run.dvm.vgrid.weights
-    fl = _flight(params, run.xgrid.centers[:, None], run.dvm.vgrid.v[None, :], eps)
+    fl = _run_flight(params, run, eps)
     dchi = _dchi_space(phi.space, fl, _dx_rate(params, fl))
     vals = np.array([np.sum((run.g_snapshot(i) * dchi) @ wv)
                      for i in range(times.size)])
@@ -553,7 +556,7 @@ def corrector_term_drift_rho(params: ModelParams, eps: float,
         return 0.0
     times = _phase_times(run, phi)
     fw = run.dvm.vgrid.weights * run.dvm.f_eq
-    fl = _flight(params, run.xgrid.centers[:, None], run.dvm.vgrid.v[None, :], eps)
+    fl = _run_flight(params, run, eps)
     dchi = _dchi_space(phi.space, fl, _dx_rate(params, fl))
     kernel = (dchi - phi.space.d1(run.xgrid.centers)[:, None]) @ fw
     vals = run.xgrid.dx * phi.time.value(times) * (np.asarray(run.rho) @ kernel)

@@ -212,14 +212,15 @@ def test_gap_zero_for_space_constant(asym_params):
                            t_support=(t0, t1), x_center=10.0, x_halfwidth=5.0)
     # chi == phi pointwise for x-constant probes, so only the analytic tail
     # bookkeeping (phi^2 * tail mass) survives; it is not a gap. Check the
-    # bulk part alone by subtracting it; the tolerance is summation order.
+    # bulk part alone by subtracting it.
     gap = co.chi_l2_diagnostics(asym_params, phi, 0.1, nt=8, nxq=16, nv=65)["gap"]
     tq, wt = co._legendre_rule(t0, t1, 8)
     xq, wx = co._legendre_rule(5.0, 15.0, 16)
     vmax = co._gap_vgrid(asym_params, 0.1, 65).vmax
     tail = (2 * asym_params.kappa / asym_params.alpha) * vmax ** (-asym_params.alpha)
-    tail_part = sum(w * tail * (wx @ phi.value(t, xq) ** 2) for t, w in zip(tq, wt))
-    assert gap == pytest.approx(tail_part, rel=1e-14)
+    a2 = wt @ phi.time.value(tq) ** 2
+    tail_part = a2 * (tail * (wx @ phi.space.value(xq) ** 2))
+    assert gap == pytest.approx(tail_part, abs=1e-20)
 
 
 def test_bound_ratio_below_paper_constant(asym_params):
