@@ -110,6 +110,8 @@ def cmd_kinetic_mc(args) -> int:
                           config=config_dict(cfg))
     _say(args, f"kinetic-mc eps={eps} n={cfg.particles}: mass {fld.mass():.12f}, "
                f"median bin SE {float(np.median(se)):.3e}, "
+               f"{ens.collision_count} collisions in {ens.advance_rounds} "
+               "rounds, "
                f"wrote {len(paths)} file(s) to {cfg.out_dir}")
     return 0
 

@@ -320,7 +320,9 @@ def mc_cross_check(cfg: RunConfig, det_run: KineticRun,
         metrics={"eps": eps, "particles": cfg.particles, "bins": bins,
                  "max_z": max_z,
                  "empty_bins": int(np.count_nonzero(~has_se)),
-                 "max_abs_diff": float(np.max(diff))},
+                 "max_abs_diff": float(np.max(diff)),
+                 "collisions": ens.collision_count,
+                 "advance_rounds": ens.advance_rounds},
     )
 
 

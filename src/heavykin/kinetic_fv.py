@@ -319,6 +319,18 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
         raise ValidationError(f"cfl must lie in (0, 1] (got {cfl})")
 
     dvm = DiscreteModel(params, vgrid)
+    # the deviation norms weight by w/f_eq and w<v>^beta/f_eq; an f_eq
+    # underflowed to zero or to a subnormal makes them inf/NaN from the
+    # first snapshot on
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        finite = (np.isfinite(vgrid.weights / dvm.f_eq)
+                  & np.isfinite(vgrid.weights * dvm.bracket_beta / dvm.f_eq))
+    if not np.all(finite):
+        node = int(np.argmin(finite))
+        raise NumericError(
+            f"discrete equilibrium is {dvm.f_eq[node]:.3g} at velocity node "
+            f"{node} (v={vgrid.v[node]:.6g}) for {params}; the deviation norms "
+            "divide by it")
     critical = critical_speed(params, eps)
     if vgrid.vmax < critical or dvm.tail_mass_loss > 1e-3:
         warnings.warn(

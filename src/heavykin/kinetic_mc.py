@@ -8,13 +8,17 @@ nu0(x_candidate)/nu2, after which the velocity is redrawn from the
 post-collision density p.  No time-step bias anywhere.
 
 Randomness is organized in counter-based streams, one Philox key per ensemble
-partition (fixed default 8), so results are byte-identical for a given
-(seed, partition count) regardless of how many workers execute partitions.
+partition (fixed default 8).  `init_ensemble` and `advance` run the
+partitions on a thread pool sized to the available cores; each partition
+draws only from its own stream and writes only its own slice, so results are
+byte-identical for a given (seed, partition count) whatever the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +47,7 @@ class ParticleEnsemble:
     partitions: int
     streams: list[np.random.Generator] = field(repr=False, default_factory=list)
     collision_count: int = 0
+    advance_rounds: int = 0     # most rounds any partition took, last advance
 
     @property
     def count(self) -> int:
@@ -60,6 +65,29 @@ def _partition_streams(seed: int, partitions: int) -> list[np.random.Generator]:
         np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
         for k in range(partitions)
     ]
+
+
+def _pool_map(fn, tasks: list) -> list:
+    """``[fn(*task) for task in tasks]``, on up to one thread per usable core.
+
+    The tasks write disjoint memory and draw from their own streams, so the
+    results do not depend on the worker count; with one core they run here.
+    The caller's floating-point error state (``np.errstate``) is set in each
+    worker.
+    """
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(len(tasks), cores)
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    state = np.geterr()
+
+    def run(task):
+        with np.errstate(**state):
+            return fn(*task)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, tasks))
 
 
 def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
@@ -93,13 +121,16 @@ def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
         streams=streams,
     )
     feq = equilibrium(params)
-    for sl, g in zip(ens.partition_slices(), streams):
+
+    def draw(sl: slice, g: np.random.Generator) -> None:
         m = sl.stop - sl.start
         if profile == "gaussian":
             ens.positions[sl] = np.mod(c + width * g.standard_normal(m), length)
         else:
             ens.positions[sl] = g.random(m) * length
         ens.velocities[sl] = feq.sample(g, m)
+
+    _pool_map(draw, list(zip(ens.partition_slices(), streams)))
     return ens
 
 
@@ -109,13 +140,34 @@ def advance(ens: ParticleEnsemble, dt_macro: float, eps: float) -> ParticleEnsem
     Each round draws one candidate event for every particle still short of
     the end time.  A non-finite collision rate, or more rounds than a
     generous multiple of the expected event count rate*dt_macro, raises
-    :class:`NumericError` instead of looping without end.
+    :class:`NumericError` instead of looping without end; so does a
+    non-finite final position, left by a velocity draw past the double range.
+    The partitions run on a thread pool; ``advance_rounds`` records the most
+    rounds any of them took.
     """
     if dt_macro <= 0:
         raise ValidationError(f"dt_macro must be positive (got {dt_macro})")
     if not (0.0 < eps <= 1.0):
         raise ValidationError(f"eps in (0, 1] (got {eps})")
 
+    results = _pool_map(_advance_partition,
+                        [(ens, sl, g, dt_macro, eps) for sl, g in
+                         zip(ens.partition_slices(), ens.streams)])
+    ens.time += dt_macro
+    ens.collision_count += sum(accepted for accepted, _ in results)
+    ens.advance_rounds = max(rounds for _, rounds in results)
+    return ens
+
+
+def _advance_partition(ens: ParticleEnsemble, sl: slice, g, dt_macro: float,
+                       eps: float) -> tuple[int, int]:
+    """Advance the particles of one partition with its own stream.
+
+    The live particles' x, v, t, ensemble index and rate are kept compacted:
+    each round filters them by whether their candidate event falls before
+    t_end, and writes the finished ones straight into ``ens`` (partitions
+    own disjoint slices).  Returns (accepted collisions, rounds).
+    """
     p = ens.params
     j = drift(p, eps)
     speed_scale = eps ** (1.0 - p.gamma)
@@ -123,63 +175,76 @@ def advance(ens: ParticleEnsemble, dt_macro: float, eps: float) -> ParticleEnsem
     pcd = post_collision_density(p)
     length = p.domain_length
     t_end = ens.time + dt_macro
-    accepted_total = 0
 
-    for sl, g in zip(ens.partition_slices(), ens.streams):
-        x = ens.positions[sl].copy()
-        v = ens.velocities[sl].copy()
-        t = np.full(x.shape, ens.time)
-        alive = np.arange(x.size)
-        rounds = 0
+    # views of the partition's slice: the first round rebinds them to
+    # compacted copies, and only settled particles are written back
+    x, v = ens.positions[sl], ens.velocities[sl]
+    t = np.full(x.shape, ens.time)
+    index = np.arange(sl.start, sl.stop)
+    rate = rate_scale * vel_bracket(v) ** p.beta
+    peak = _finite_peak(rate, 0, t)
+    # a particle's candidate events are Poisson with mean rate*dt_macro, and
+    # the fastest initial particle bounds the typical rate, so the last
+    # particle finishes far inside this
+    max_rounds = 100 + 10 * math.ceil(peak * dt_macro)
+    rounds = accepted = 0
 
-        while alive.size:
-            xa, va, ta = x[alive], v[alive], t[alive]
-            rate = rate_scale * vel_bracket(va) ** p.beta
-            peak = float(np.max(rate))
-            if not math.isfinite(peak):
-                raise NumericError(
-                    f"MC advance: non-finite collision rate {peak} at round "
-                    f"{rounds}, t={float(ta.min()):.6g}"
-                )
-            if rounds == 0:
-                # a particle's candidate events are Poisson with mean
-                # rate*dt_macro, and the fastest initial particle bounds the
-                # typical rate, so the last particle finishes far inside this
-                max_rounds = 100 + 10 * math.ceil(peak * dt_macro)
-            elif rounds >= max_rounds:
-                raise NumericError(
-                    f"MC advance: {alive.size} particles still short of "
-                    f"t={t_end:.6g} after {rounds} rounds (earliest at "
-                    f"t={float(ta.min()):.6g})"
-                )
-            rounds += 1
-            tau = g.exponential(size=alive.size) / rate
-            t_cand = ta + tau
-            flight = np.minimum(t_cand, t_end) - ta
-            xa = np.mod(xa + speed_scale * (va - j) * flight, length)
-            collide = t_cand < t_end
+    while index.size:
+        if rounds >= max_rounds:
+            raise NumericError(
+                f"MC advance: {index.size} particles still short of "
+                f"t={t_end:.6g} after {rounds} rounds (earliest at "
+                f"t={float(t.min()):.6g})"
+            )
+        rounds += 1
+        t_cand = t + g.exponential(size=index.size) / rate
+        flight = np.minimum(t_cand, t_end) - t
+        x = np.mod(x + speed_scale * (v - j) * flight, length)
+        collide = t_cand < t_end
+        del flight
 
-            # settle finished particles
-            done = alive[~collide]
-            x[done], t[done] = xa[~collide], t_end
+        # settle finished particles, then compact the live ones one array at
+        # a time, so each old array is freed before the next copy
+        done = ~collide
+        ens.positions[index[done]] = x[done]
+        ens.velocities[index[done]] = v[done]
+        index = index[collide]
+        x = x[collide]
+        v = v[collide]
+        rate = rate[collide]
+        t = t_cand[collide]
+        del t_cand
 
-            # thinning acceptance at candidate events
-            idx = alive[collide]
-            xc, tc = xa[collide], t_cand[collide]
-            accept = g.random(idx.size) * p.nu2 < nu0(p, xc)
-            n_acc = int(np.count_nonzero(accept))
-            if n_acc:
-                v[idx[accept]] = pcd.sample(g, n_acc)
-                accepted_total += n_acc
-            x[idx], t[idx] = xc, tc
-            alive = idx
+        # thinning acceptance at candidate events
+        accept = g.random(index.size) * p.nu2 < nu0(p, x)
+        n_acc = int(np.count_nonzero(accept))
+        if n_acc:
+            v_new = pcd.sample(g, n_acc)
+            rate_new = rate_scale * vel_bracket(v_new) ** p.beta
+            _finite_peak(rate_new, rounds, t)
+            v[accept] = v_new
+            rate[accept] = rate_new
+            accepted += n_acc
 
-        ens.positions[sl] = x
-        ens.velocities[sl] = v
+    # a tail draw beyond the double range (tail exponents near 0) makes its
+    # flight inf * t, which lands at NaN on the torus
+    lost = np.count_nonzero(~np.isfinite(ens.positions[sl]))
+    if lost:
+        raise NumericError(
+            f"MC advance: {lost} particles have non-finite positions at "
+            f"t={t_end:.6g}; their velocities overflow the flight "
+            f"(largest |v| {float(np.max(np.abs(ens.velocities[sl]))):.3g})"
+        )
+    return accepted, rounds
 
-    ens.time = t_end
-    ens.collision_count += accepted_total
-    return ens
+
+def _finite_peak(rate, rounds: int, t: np.ndarray) -> float:
+    """Largest rate; raises if it is not finite (t: live particle times)."""
+    peak = float(np.max(rate))
+    if not math.isfinite(peak):
+        raise NumericError(f"MC advance: non-finite collision rate {peak} at "
+                           f"round {rounds}, t={float(t.min()):.6g}")
+    return peak
 
 
 def estimate_density(ens: ParticleEnsemble, nx: int) -> DensityField:

@@ -317,16 +317,24 @@ def test_run_fails_loudly_on_nan(asym_params, monkeypatch):
                   snapshot_times=[0.0, 0.1, 0.2, 0.3])
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_run_fails_loudly_on_nonfinite_gnorm():
-    # kappa at the smallest subnormal underflows f_eq to zero in the tail:
-    # rho stays finite while the weighted norm of g is 0 * inf = NaN
-    params = ModelParams(alpha=1.99, beta=-0.25, kappa=5e-324, nu0_delta=0.78)
-    with pytest.raises(NumericError, match="non-finite deviation norm at t=0 "
-                                           "after 0 steps"):
-        run_kinetic_det(params, 0.4, xgrid=SpatialGrid(8, params.domain_length),
-                        vgrid=VelocityGrid(9, vscale=40.0 / 8), t_final=0.1)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_run_fails_loudly_on_nonfinite_gnorm(asym_params, monkeypatch):
+    # a huge but finite phase value keeps rho finite and positive while the
+    # 1/f_eq-weighted square of g overflows.  (An f_eq small enough to make
+    # the weights themselves overflow is refused before stepping.)
+    clean = kfv.collision_apply
+
+    def poisoned(fld, dt_coll, eps=1.0):
+        fld = clean(fld, dt_coll, eps)
+        if fld.time > 0.1:
+            fld.values[0, 0] = 1e200
+        return fld
+
+    monkeypatch.setattr(kfv, "collision_apply", poisoned)
+    with pytest.raises(NumericError, match=r"non-finite deviation norm at "
+                                           r"t=0\.2 after \d+ steps"):
+        small_run(asym_params, eps=0.5, t_final=0.3,
+                  snapshot_times=[0.0, 0.1, 0.2, 0.3])
 
 
 def test_run_apriori_bound_small_grid(asym_params):

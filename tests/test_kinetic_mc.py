@@ -1,5 +1,9 @@
 """Monte Carlo solver: sampling, thinning dynamics, estimators, determinism."""
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -155,6 +159,133 @@ def test_advance_caps_rounds(asym_params):
     ens.streams = [Stalled(), Stalled()]
     with pytest.raises(NumericError, match=r"after \d+ rounds .*t=0"):
         advance(ens, dt_macro=0.3, eps=0.5)
+
+
+def _round_loop_advance(ens, dt_macro, eps):
+    """Reference: partitions one after another, each round gathering the live
+    particles out of full-size partition arrays and scattering them back,
+    with every live rate recomputed and nu0 evaluated at every candidate."""
+    p = ens.params
+    j = m.drift(p, eps)
+    speed_scale = eps ** (1.0 - p.gamma)
+    rate_scale = p.nu2 / eps**p.gamma
+    pcd = m.post_collision_density(p)
+    t_end = ens.time + dt_macro
+    for sl, g in zip(ens.partition_slices(), ens.streams):
+        x = ens.positions[sl].copy()
+        v = ens.velocities[sl].copy()
+        t = np.full(x.shape, ens.time)
+        alive = np.arange(x.size)
+        while alive.size:
+            xa, va, ta = x[alive], v[alive], t[alive]
+            rate = rate_scale * m.vel_bracket(va) ** p.beta
+            t_cand = ta + g.exponential(size=alive.size) / rate
+            flight = np.minimum(t_cand, t_end) - ta
+            xa = np.mod(xa + speed_scale * (va - j) * flight, p.domain_length)
+            collide = t_cand < t_end
+            done = alive[~collide]
+            x[done], t[done] = xa[~collide], t_end
+            idx = alive[collide]
+            xc, tc = xa[collide], t_cand[collide]
+            accept = g.random(idx.size) * p.nu2 < m.nu0(p, xc)
+            n_acc = int(np.count_nonzero(accept))
+            if n_acc:
+                v[idx[accept]] = pcd.sample(g, n_acc)
+                ens.collision_count += n_acc
+            x[idx], t[idx] = xc, tc
+            alive = idx
+        ens.positions[sl] = x
+        ens.velocities[sl] = v
+    ens.time = t_end
+
+
+@pytest.mark.parametrize("partitions", [1, 3, 8])
+@pytest.mark.parametrize("params", [
+    ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.0),   # flat, j = 0
+    ModelParams(alpha=1.5, beta=0.25, kappa=0.2, core_asym=0.5,
+                nu0_delta=0.3),                                   # thinning
+    ModelParams(alpha=1.2, beta=-0.3, kappa=0.3, core_asym=-0.7),  # drift
+], ids=["flat", "modulated", "drift"])
+def test_advance_matches_round_loop_bitwise(params, partitions):
+    ens = init_ensemble(params, n=3_001, seed=17, partitions=partitions)
+    ref = init_ensemble(params, n=3_001, seed=17, partitions=partitions)
+    for dt_macro in (0.25, 0.4):     # the streams continue across calls
+        advance(ens, dt_macro=dt_macro, eps=0.3)
+        _round_loop_advance(ref, dt_macro, eps=0.3)
+        assert np.array_equal(ens.positions, ref.positions)
+        assert np.array_equal(ens.velocities, ref.velocities)
+        assert ens.collision_count == ref.collision_count
+        assert ens.time == ref.time
+    assert ens.collision_count > 0 and ens.advance_rounds > 1
+
+
+def test_partition_results_independent_of_worker_count(asym_params,
+                                                        monkeypatch):
+    # 8 workers on any machine: more threads than cores, switching often,
+    # all writing their partitions' slices of the same two arrays
+    threads = set()
+    partition = kinetic_mc._advance_partition
+
+    def recording(*args):
+        threads.add(threading.get_ident())
+        return partition(*args)
+
+    monkeypatch.setattr(kinetic_mc, "_advance_partition", recording)
+    results = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(kinetic_mc.os, "sched_getaffinity",
+                                lambda pid, k=workers: set(range(k)))
+            threads.clear()
+            ens = init_ensemble(asym_params, n=20_000, seed=23)
+            initial = ens.positions.copy(), ens.velocities.copy()
+            advance(ens, dt_macro=0.3, eps=0.4)
+            advance(ens, dt_macro=0.2, eps=0.4)
+            results[workers] = (*initial, ens.positions, ens.velocities,
+                                ens.collision_count, ens.advance_rounds)
+            on_main = threads == {threading.get_ident()}
+            assert on_main == (workers == 1)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = results[1]
+    for workers in (2, 8):
+        for a, b in zip(serial, results[workers]):
+            assert np.array_equal(a, b)
+
+
+def test_pool_sizes_by_cpu_count_without_affinity(monkeypatch):
+    # platforms without sched_getaffinity size the pool by os.cpu_count
+    monkeypatch.delattr(kinetic_mc.os, "sched_getaffinity", raising=False)
+    for cores, pooled in ((2, True), (None, False)):
+        monkeypatch.setattr(kinetic_mc.os, "cpu_count", lambda c=cores: c)
+        idents = kinetic_mc._pool_map(threading.get_ident, [()] * 3)
+        assert (threading.get_ident() not in idents) == pooled
+
+
+def test_advance_reports_rounds(asym_params):
+    ens = init_ensemble(asym_params, n=2_000, seed=4, partitions=4)
+    advance(ens, dt_macro=0.3, eps=0.5)
+    first = ens.advance_rounds
+    # one round settles every particle whose first candidate is past t_end
+    advance(ens, dt_macro=1e-12, eps=0.5)
+    assert first > 1 and ens.advance_rounds == 1
+
+
+def test_advance_raises_on_overflowing_velocity(monkeypatch):
+    # tail exponent alpha = 0.005: about one inverse-cdf draw in 40 overflows
+    # to inf, and an infinite flight lands at NaN.  The caller's errstate
+    # must reach the workers, or their RuntimeWarnings become errors here.
+    params = ModelParams(alpha=0.005, beta=0.0, kappa=0.002)
+    monkeypatch.setattr(kinetic_mc.os, "sched_getaffinity",
+                        lambda pid: {0, 1})
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = init_ensemble(params, n=40, seed=5, partitions=2)
+        assert np.all(np.isfinite(ens.velocities))
+        with pytest.raises(NumericError, match="non-finite positions"):
+            advance(ens, dt_macro=5.0, eps=0.5)
 
 
 # ---------------------------------------------------------------------------
