@@ -14,10 +14,13 @@ free-flight ray:
                    * phi(t, x + vt*z) dz.
 
 Substituting the cumulative hazard u = U(z) turns the weight into e^{-u}, so
-a Gauss-Laguerre rule converges spectrally; U is inverted per node by a
-safeguarded Newton iteration (closed form when the frequency modulation is
-off).  The inversion depends on (x, v, eps) only, so U is inverted once per
-(grid, eps).  Every probe is separable, phi(t, x) = a(t) s(x), and the
+a Gauss-Laguerre rule converges spectrally.  The rule keeps only its nodes
+that carry weight (34 of 64).  U is inverted at each (x, v, node) by a
+Newton iteration that starts from one average-rate step, keeps its own
+bracket [u/nu2, u/nu1], bisects when a step would leave it, and stops per
+element (closed form when the frequency modulation is off).  The inversion
+depends on (x, v, eps) only, so U is inverted once per (grid, eps).  Every
+probe is separable, phi(t, x) = a(t) s(x), and the
 flight average acts on x only, so chi = a(t) <s>, d_t chi = a'(t) <s> and
 d_x chi = a(t) <rate s + s'>: each diagnostic averages the space factor
 once per (grid, eps), and its time loop only scales by a(t).  The module
@@ -277,7 +280,20 @@ def modulated_packet(*, center: float = 10.0, width: float = 1.0,
 
 @lru_cache(maxsize=8)
 def _laggauss(n: int):
-    return np.polynomial.laguerre.laggauss(n)
+    """The n-point Gauss-Laguerre rule without its weightless trailing nodes.
+
+    Trailing nodes are dropped while the dropped sum of w (1 + u) stays
+    <= 2**-60: the (1 + u) covers the d/dx chi growth term, which is linear
+    in the flight parameter, so no flight average moves by more than 2**-60
+    times the bound on its integrand (64 nodes keep 34, 128 keep 48).  The
+    arrays are shared by every caller and thread, hence read-only.
+    """
+    u, w = np.polynomial.laguerre.laggauss(n)
+    dropped = np.cumsum((w * (1.0 + u))[::-1])[::-1]   # sum over nodes >= k
+    keep = np.count_nonzero(dropped > 2.0**-60)
+    u, w = u[:keep].copy(), w[:keep].copy()
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 def _check_eps(eps: float) -> None:
@@ -299,24 +315,72 @@ def _cumulative_hazard(params: ModelParams, x, vt, z):
     return params.nu0_mean * z * (1.0 + params.nu0_delta * osc)
 
 
-def _invert_hazard(params: ModelParams, x, vt, u):
-    """Solve U(z) = u for z >= 0 (vectorized safeguarded Newton).
+_BLOCK = 16384   # elements per inversion block: its few arrays stay in cache
 
-    U' = nu0 in [nu1, nu2] brackets the root in [u/nu2, u/nu1]; iterates are
-    clipped to that bracket, so the iteration cannot escape.  Convergence is
-    quadratic and the guard is unreachable in practice.
+
+def _invert_hazard(params: ModelParams, x, vt, u):
+    """Solve U(z) = u for z >= 0, broadcasting over (x, vt, u).
+
+    Closed form when the rate is flat.  Otherwise the elements are inverted
+    block by block by :func:`_newton_block`; an element that has not met
+    |U(z) - u| <= 1e-13 (1 + u) after 100 rounds raises
+    :class:`NumericError` naming the worst one, so an unconverged z is never
+    returned.
     """
     if params.nu0_delta == 0.0:
         return u / params.nu0_mean + 0.0 * (x + vt)
+    stuck = []
+    with np.nditer([x, vt, u, None],
+                   flags=["external_loop", "buffered", "zerosize_ok"],
+                   op_flags=[["readonly"]] * 3 + [["writeonly", "allocate"]],
+                   order="C", buffersize=_BLOCK) as it:
+        z = it.operands[3]
+        for xs, vts, us, zs in it:
+            zs[...], left = _newton_block(params, xs, vts, us)
+            if left is not None:
+                stuck.append(left)
+    if stuck:
+        x, vt, u, resid = (np.concatenate(parts) for parts in zip(*stuck))
+        k = int(np.argmax(np.abs(resid) / (1.0 + u)))
+        raise NumericError(
+            f"hazard inversion at delta={params.nu0_delta:g}: {x.size} of "
+            f"{z.size} elements unconverged after 100 rounds; worst at "
+            f"x={x[k]:.17g}, vt={vt[k]:.17g}, u={u[k]:.17g}, "
+            f"residual {resid[k]:.3g}")
+    return z
+
+
+def _newton_block(params: ModelParams, x, vt, u):
+    """Bracketed Newton iteration on one block of elements (1-D arrays).
+
+    U' = nu0 in [nu1, nu2] brackets the root in [u/nu2, u/nu1].  Each element
+    starts from one average-rate step z0 u / U(z0) from z0 = u/nu0(x), keeps
+    its own bracket, takes the Newton step when it stays inside and bisects
+    otherwise, and leaves once its residual meets the tolerance.  Returns z
+    and, for the elements still short after 100 rounds, (x, vt, u, residual)
+    (None when every element converged).
+    """
+    out = np.empty(u.shape)
+    index = np.arange(u.size)
     lo, hi = u / params.nu2, u / params.nu1
-    z = u / nu0(params, x) + 0.0 * vt
-    tol = 1e-13 * (1.0 + u)
+    z = u / nu0(params, x)
+    z = np.clip(z * u / _cumulative_hazard(params, x, vt, z), lo, hi)
     for _ in range(100):
         resid = _cumulative_hazard(params, x, vt, z) - u
-        if np.all(np.abs(resid) <= tol):
-            return z
-        z = np.clip(z - resid / nu0(params, x + vt * z), lo, hi)
-    raise NumericError("hazard inversion: Newton did not converge in 100 steps")
+        done = np.abs(resid) <= 1e-13 * (1.0 + u)
+        out[index[done]] = z[done]
+        if done.all():
+            return out, None
+        if done.any():
+            keep = ~done
+            index, x, vt, u, z, resid, lo, hi = (
+                a[keep] for a in (index, x, vt, u, z, resid, lo, hi))
+        # U increases, so a positive residual puts z above the root
+        above = resid > 0.0
+        lo, hi = np.where(above, lo, z), np.where(above, z, hi)
+        step = z - resid / nu0(params, x + vt * z)
+        z = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+    return out, (x, vt, u, resid)
 
 
 class _Flight(NamedTuple):
@@ -346,7 +410,10 @@ def _flight(params: ModelParams, x, v, eps: float, nodes: int = 64) -> _Flight:
                                  np.asarray(v, dtype=float))
     vt = _flight_shift(params, vb, eps)
     X, VT = xb[..., None], vt[..., None]
-    Z = _invert_hazard(params, X, VT, u)
+    try:
+        Z = _invert_hazard(params, X, VT, u)
+    except NumericError as exc:
+        raise NumericError(f"{exc} (eps={eps:g})") from None
     return _Flight(X, VT, Z, X + VT * Z, w)
 
 

@@ -97,7 +97,8 @@ def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
 
     rho0 is the wrapped Gaussian (exact periodization: wrap a normal draw) or
     the uniform profile.  Partition streams are created here and consumed by
-    advance in a fixed order.
+    advance in a fixed order.  A velocity draw past the double range (tail
+    exponents near 0) raises :class:`NumericError`.
     """
     if n < 1:
         raise ValidationError(f"need at least one particle (got n={n})")
@@ -128,9 +129,15 @@ def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
             ens.positions[sl] = np.mod(c + width * g.standard_normal(m), length)
         else:
             ens.positions[sl] = g.random(m) * length
-        ens.velocities[sl] = feq.sample(g, m)
+        with np.errstate(over="ignore"):   # counted below
+            ens.velocities[sl] = feq.sample(g, m)
 
     _pool_map(draw, list(zip(ens.partition_slices(), streams)))
+    overflowed = np.count_nonzero(~np.isfinite(ens.velocities))
+    if overflowed:
+        raise NumericError(
+            f"MC init: {overflowed} of {n} velocity draws overflow the double "
+            f"range (tail exponent alpha={params.alpha:g})")
     return ens
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfcx
 
 from heavykin import ModelParams, ValidationError
 from heavykin import corrector as co
@@ -111,3 +112,23 @@ def chi_dt(params: ModelParams, t, x, v, eps: float, phi: co.ProbeFunction,
     co._check_eps(eps)
     fl = co._flight(params, x, v, eps, nodes)
     return fl.average(phi.dt(t, fl.pts))
+
+
+def gaussian_flight_average(nu: float, x, vt, center: float, width: float,
+                            amplitude: float = 1.0):
+    """Flight average of a Gaussian under a flat rate nu, in closed form.
+
+    int_0^oo nu e^{-nu z} s(x + vt z) dz for s = amplitude *
+    exp(-(y - center)^2 / (2 width^2)) is an exponentially modified
+    Gaussian; erfcx keeps it finite where erfc underflows.  A route apart
+    from the Gauss-Laguerre rule; broadcasts over x and vt.
+    """
+    x, vt = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                np.asarray(vt, dtype=float))
+    d = np.where(vt < 0.0, center - x, x - center)   # reflect vt < 0
+    rest = amplitude * np.exp(-0.5 * ((x - center) / width) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = nu / np.abs(vt)
+        q = (d + lam * width**2) / (width * np.sqrt(2.0))
+        moving = lam * width * np.sqrt(0.5 * np.pi) * rest * erfcx(q)
+    return np.where(vt == 0.0, rest, moving)

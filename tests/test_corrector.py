@@ -4,15 +4,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 from heavykin import ModelParams, NumericError, ValidationError
 from heavykin import corrector as co
+from heavykin.config import parse_config
 from heavykin.grids import DiscreteModel, SpatialGrid, VelocityGrid, periodized_gaussian
+from heavykin.harness import run_sweep
 from heavykin.kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from heavykin.model import drift, equilibrium_pdf, nu0, vel_bracket
 
-from oracles import chi_dt, plane_wave
+from oracles import chi_dt, gaussian_flight_average, plane_wave
 
 
 FLAT = ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.5)
@@ -86,6 +90,93 @@ def test_hazard_inversion_bracket_and_residual(asym_params, rng):
     assert np.all(z <= u / asym_params.nu1 + 1e-15)
     resid = co._cumulative_hazard(asym_params, x, vt, z) - u
     assert np.max(np.abs(resid) / (1.0 + u)) < 1e-12
+
+
+@given(delta=st.floats(0.0, 1.0, exclude_max=True),
+       x=st.floats(0.0, 20.0, exclude_max=True),
+       vt=st.one_of(st.sampled_from([0.0, 1e-9, -1e-9]),
+                    st.floats(-60.0, 60.0)),
+       nodes=st.sampled_from([64, 128]))
+@settings(max_examples=300, deadline=None)
+def test_hazard_inversion_converges_over_admissible_delta(delta, x, vt, nodes):
+    # every delta <= 0.99 must invert on the Laguerre nodes; closer to 1 the
+    # inversion may refuse, but it never returns an unconverged z
+    params = ModelParams(alpha=1.5, beta=0.0, kappa=0.2, nu0_delta=delta)
+    u, _ = co._laggauss(nodes)
+    try:
+        z = co._invert_hazard(params, x, vt, u)
+    except NumericError:
+        assert delta > 0.99
+        return
+    assert np.all((u / params.nu2 <= z) & (z <= u / params.nu1))
+    resid = co._cumulative_hazard(params, x, vt, z) - u
+    assert np.all(np.abs(resid) <= 1e-13 * (1.0 + u))
+
+
+def test_hazard_inversion_error_says_where(asym_params, monkeypatch):
+    # a hazard that never settles beyond x = 15 exhausts the rounds there
+    hazard = co._cumulative_hazard
+
+    def unsettled(params, x, vt, z):
+        return np.where(x > 15.0, np.nan, hazard(params, x, vt, z))
+
+    monkeypatch.setattr(co, "_cumulative_hazard", unsettled)
+    x = np.linspace(0.0, 20.0, 40, endpoint=False)
+    nodes = co._laggauss(64)[0].size
+    with pytest.raises(NumericError, match=(
+            rf"delta=0\.3: {9 * 3 * nodes} of {40 * 3 * nodes} elements "
+            r"unconverged after 100 rounds; worst at x=15\.5, vt=.*, u=.*, "
+            r"residual nan \(eps=0\.2\)")):
+        co.chi_eval(asym_params, 0.0, x[:, None], np.array([-2.0, 0.0, 3.0]),
+                    0.2, co.gaussian_packet())
+
+
+def test_laguerre_rule_drops_weightless_nodes():
+    for n, kept in ((48, 29), (64, 34), (128, 48)):
+        u, w = co._laggauss(n)
+        full_u, full_w = np.polynomial.laguerre.laggauss(n)
+        assert u.size == w.size == kept
+        assert np.array_equal(u, full_u[:kept]) and np.array_equal(w, full_w[:kept])
+        assert np.sum(full_w[kept:] * (1.0 + full_u[kept:])) <= 2.0**-60
+        assert np.sum(full_w[kept - 1:] * (1.0 + full_u[kept - 1:])) > 2.0**-60
+
+
+def test_laguerre_rule_is_read_only():
+    # one cached rule serves every flight and every sweep thread
+    u, w = co._laggauss(64)
+    for a in (u, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    assert co._laggauss(64)[1][0] == np.polynomial.laguerre.laggauss(64)[1][0]
+
+
+def test_chi_matches_gaussian_flight_closed_form():
+    # flat rate: the flight average of a Gaussian is an exponentially
+    # modified Gaussian; mean flights up to half the width keep the
+    # truncated 64-node rule at round-off
+    phi = co.static_gaussian(center=10.0, width=1.0)
+    x = np.linspace(5.0, 15.0, 41)[:, None]
+    for params in (FLAT, ModelParams(alpha=1.5, beta=0.25, kappa=0.2)):
+        v = np.array([-10.0, -1.0, -0.3, 0.0, 1e-9, 0.6, 1.0, 4.0, 10.0])
+        vt = co._flight_shift(params, v, 0.05)
+        assert np.max(np.abs(vt)) <= 0.5 * params.nu0_mean
+        got = co.chi_eval(params, 0.0, x, v, 0.05, phi)
+        want = gaussian_flight_average(params.nu0_mean, x, vt, 10.0, 1.0)
+        assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_drift_sweep_identical_with_full_laguerre_rule(monkeypatch):
+    # the dropped nodes change no sum: the drift sweep's report is
+    # byte-identical to one computed with the full 64-node rule
+    cfg = parse_config("model.alpha = 1.5\nmodel.core_asym = 0.5\n"
+                       "discretization.nx = 24\ndiscretization.nv = 25\n"
+                       "discretization.scheme_order = 2\n"
+                       "experiment.eps_list = 0.4, 0.2, 0.1, 0.05\n"
+                       "experiment.t_final = 0.5\n")
+    truncated = run_sweep(cfg).to_json(drop_wall_times=True)
+    monkeypatch.setattr(co, "_laggauss", np.polynomial.laguerre.laggauss)
+    assert co._flight(FLAT, 0.0, 1.0, 0.5).w.size == 64
+    assert run_sweep(cfg).to_json(drop_wall_times=True) == truncated
 
 
 def _cosine_oracle(params, xi, x, v, eps):

@@ -267,6 +267,21 @@ def test_single_eps_sweep_has_no_monotonicity_verdict():
     assert rep.passed()
 
 
+@pytest.mark.parametrize("delta", [0.5, 0.9])
+@pytest.mark.parametrize("alpha, beta", [(0.8, 0.25), (1.5, 0.0)])
+def test_strongly_modulated_rate_completes_every_row(alpha, beta, delta):
+    # the hazard inversion once failed every row for delta >= 0.5
+    cfg = parse_config(
+        f"model.alpha = {alpha}\nmodel.beta = {beta}\n"
+        f"model.core_asym = 0.5\nmodel.nu0_delta = {delta}\n"
+        "discretization.nx = 16\ndiscretization.nv = 17\n"
+        "experiment.eps_list = 0.4, 0.2, 0.1\nexperiment.t_final = 0.2\n")
+    rep = run_sweep(cfg)
+    assert [row.get("error") for row in rep.rows] == [None] * 3
+    completed = next(v for v in rep.verdicts if v.criterion == "runs-completed")
+    assert completed.passed
+
+
 def test_solver_failure_yields_partial_report(small_cfg, monkeypatch):
     calls = {"n": 0}
     import heavykin.harness as harness_mod

@@ -11,6 +11,7 @@ from scipy import stats
 from heavykin import ModelParams, NumericError, ValidationError
 from heavykin import kinetic_mc
 from heavykin import model as m
+from heavykin.cli import main
 from heavykin.kinetic_mc import (
     advance,
     density_standard_error,
@@ -286,6 +287,23 @@ def test_advance_raises_on_overflowing_velocity(monkeypatch):
         assert np.all(np.isfinite(ens.velocities))
         with pytest.raises(NumericError, match="non-finite positions"):
             advance(ens, dt_macro=5.0, eps=0.5)
+
+
+def test_init_raises_on_overflowing_velocity(tmp_path, capsys):
+    # alpha = 0.005: seed 0 draws two of 40 initial velocities past the
+    # double range; the draw says so instead of returning +-inf or warning
+    params = ModelParams(alpha=0.005, beta=0.0, kappa=0.002)
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text("model.alpha = 0.005\nmodel.beta = 0.0\n"
+                   "model.kappa = 0.002\nexperiment.particles = 40\n"
+                   f"experiment.seed = 0\noutput.dir = {tmp_path / 'out'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"2 of 40 velocity draws .*"
+                                               r"alpha=0\.005"):
+            init_ensemble(params, n=40, seed=0)
+        assert main(["kinetic-mc", "--config", str(cfg), "--quiet"]) == 3
+    assert "alpha=0.005" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
