@@ -116,7 +116,7 @@ def _collision_plan(fld: PhaseField, dt_coll: float, eps: float) -> _CollisionPl
                           np.empty(fld.values.shape))
 
 
-def collision_apply(fld: PhaseField, dt_coll: float, eps: float = 1.0) -> PhaseField:
+def collision_apply(fld: PhaseField, dt_coll: float, eps: float) -> PhaseField:
     """One backward-Euler collision step, exact per x-column via the rank-one gain.
 
     Solving (1 + lam <v>^b) f' = f + lam p m' with m' = m_beta(f') reduces to a

@@ -148,7 +148,8 @@ def advance(ens: ParticleEnsemble, dt_macro: float, eps: float) -> ParticleEnsem
     the end time.  A non-finite collision rate, or more rounds than a
     generous multiple of the expected event count rate*dt_macro, raises
     :class:`NumericError` instead of looping without end; so does a
-    non-finite final position, left by a velocity draw past the double range.
+    post-collision velocity draw past the double range, or a flight that
+    overflows to a non-finite final position.
     The partitions run on a thread pool; ``advance_rounds`` records the most
     rounds any of them took.
     """
@@ -226,15 +227,23 @@ def _advance_partition(ens: ParticleEnsemble, sl: slice, g, dt_macro: float,
         accept = g.random(index.size) * p.nu2 < nu0(p, x)
         n_acc = int(np.count_nonzero(accept))
         if n_acc:
-            v_new = pcd.sample(g, n_acc)
+            with np.errstate(over="ignore"):   # counted below
+                v_new = pcd.sample(g, n_acc)
+            if not (math.isfinite(v_new.min()) and math.isfinite(v_new.max())):
+                overflowed = ~np.isfinite(v_new)
+                raise NumericError(
+                    f"MC advance: {np.count_nonzero(overflowed)} of {n_acc} "
+                    f"post-collision velocity draws overflow the double range "
+                    f"at round {rounds}, t={float(t[accept][overflowed].min()):.6g} "
+                    f"(tail exponent alpha={p.alpha:g})")
             rate_new = rate_scale * vel_bracket(v_new) ** p.beta
             _finite_peak(rate_new, rounds, t)
             v[accept] = v_new
             rate[accept] = rate_new
             accepted += n_acc
 
-    # a tail draw beyond the double range (tail exponents near 0) makes its
-    # flight inf * t, which lands at NaN on the torus
+    # a finite but huge velocity can still overflow its flight to inf, which
+    # lands at NaN on the torus
     lost = np.count_nonzero(~np.isfinite(ens.positions[sl]))
     if lost:
         raise NumericError(

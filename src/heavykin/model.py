@@ -45,7 +45,6 @@ __all__ = [
     "cross_section_b",
     "critical_speed",
     "drift",
-    "truncated_first_moment",
     "coercivity_constant",
     "coercivity_functional",
 ]
@@ -359,19 +358,6 @@ def cross_section_b(params: ModelParams, x, v, vp):
 # ---- drift -------------------------------------------------------------------
 
 
-def truncated_first_moment(params: ModelParams, radius: float) -> float:
-    """``int_{|v| <= radius} v F(v) dv`` in closed form.
-
-    For radius >= 1 the two tail pieces cancel exactly (equal tail constant on
-    both sides), leaving the core moment 2Aa/3.
-    """
-    _require(radius > 0, f"truncation radius > 0 (got {radius})")
-    h, a = params.core_height, params.core_asym
-    if radius < 1.0:
-        return 2.0 * h * a * radius**3 / 3.0
-    return 2.0 * h * a / 3.0
-
-
 def critical_speed(params: ModelParams, eps: float) -> float:
     """The critical speed ``eps^(-1/(1-beta))`` of the scaling.
 
@@ -387,16 +373,14 @@ def drift(params: ModelParams, eps: float) -> float:
     """Theorem drift j^eps_F: three cases in alpha.
 
     * alpha < 1: zero (no drift subtraction needed);
-    * alpha = 1: the first moment truncated at ``|v| <= eps^(-1/(1-beta))``,
-      which for this family equals 2Aa/3 for every eps <= 1 by exact tail
-      cancellation;
+    * alpha = 1: the first moment truncated at ``|v| <= eps^(-1/(1-beta))``;
+      that radius is >= 1 for every eps <= 1, and past |v| = 1 the two tails
+      cancel exactly (equal tail constant on both sides), leaving 2Aa/3;
     * alpha > 1: the full first moment, 2Aa/3 for the same reason.
     """
     _require(0.0 < eps <= 1.0, f"eps in (0, 1] (got eps={eps})")
     if params.alpha < 1.0:
         return 0.0
-    if params.alpha == 1.0:
-        return truncated_first_moment(params, critical_speed(params, eps))
     return params.equilibrium_mean
 
 

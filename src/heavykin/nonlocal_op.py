@@ -9,10 +9,10 @@ The scaled kinetic family converges to  d_t rho + kappa L rho = 0  with
 where nubar0 is the average of nu0 along the straight segment from x to y.
 This module evaluates eta (closed form; quadrature fallback as an audit
 route), assembles a dense symmetric periodized matrix for L on the torus,
-steps the macroscopic equation with Crank-Nicolson, provides the
-constant-coefficient spectral reference solution, and evaluates L phi
-pointwise on the line for smooth probes (the oracle used by the
-operator-limit checks).
+propagates the macroscopic equation exactly in that matrix's eigenbasis,
+provides the constant-coefficient spectral reference solution, and
+evaluates L phi pointwise on the line for smooth probes (the oracle used by
+the operator-limit checks).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma as gamma_fn
 from scipy.special import zeta as hurwitz_zeta
 
@@ -284,21 +283,17 @@ class MacroRun:
 
 
 def solve_macro(op: NonlocalOperator, rho0: DensityField, t_final: float, *,
-                dt: float | None = None, snapshot_times=None) -> MacroRun:
-    """Crank-Nicolson evolution of d_t rho = -kappa A rho with dense LU.
+                snapshot_times=None) -> MacroRun:
+    """Exact evolution of d_t rho = -kappa A rho in the eigenbasis of A.
 
-    The scheme is unconditionally stable and symmetric in time; ``dt`` is an
-    upper bound on the step, refined per snapshot interval so that every
-    requested snapshot time is landed exactly.
+    A is symmetric, so A = V diag(lam) V^T and every snapshot is
+    rho(t_k) = V exp(-kappa lam (t_k - t0)) V^T rho0, with no time-step
+    error; the only approximation left is the spatial one inside A.
     """
     if rho0.grid.nx != op.grid.nx:
         raise ValidationError("initial density lives on a different grid")
     if not t_final > 0:
         raise ValidationError("parameter constraint violated: t_final > 0")
-    if dt is None:
-        dt = t_final / 400.0
-    if not 0 < dt <= t_final:
-        raise ValidationError("parameter constraint violated: 0 < dt <= t_final")
     t0 = rho0.time
     if snapshot_times is None:
         snapshot_times = t0 + np.linspace(0.0, t_final, 6)
@@ -307,31 +302,18 @@ def solve_macro(op: NonlocalOperator, rho0: DensityField, t_final: float, *,
         raise ValidationError("snapshot times must start at rho0.time, increase, "
                               "and stay within the horizon")
 
-    kap_a = op.params.kappa * op.matrix
-    eye = np.eye(op.grid.nx)
-    factor_cache: dict[float, tuple] = {}
-
-    def factors(step: float):
-        if step not in factor_cache:
-            try:
-                factor_cache[step] = (lu_factor(eye + 0.5 * step * kap_a),
-                                      eye - 0.5 * step * kap_a)
-            except np.linalg.LinAlgError as exc:   # pragma: no cover - guarded
-                raise NumericError(f"dense factorization failed: {exc}") from exc
-        return factor_cache[step]
-
+    try:
+        lam, vecs = np.linalg.eigh(op.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"eigendecomposition of the macro operator failed: {exc}") from exc
+    coeffs = vecs.T @ rho0.values
+    decay = np.exp(-op.params.kappa * np.outer(times[1:] - t0, lam))
     out = np.empty((times.size, op.grid.nx))
     out[0] = rho0.values
-    current = rho0.values.copy()
-    for k in range(1, times.size):
-        span = float(times[k] - times[k - 1])
-        nsteps = max(1, int(np.ceil(span / dt - 1e-12)))
-        lu, explicit = factors(span / nsteps)
-        for _ in range(nsteps):
-            current = lu_solve(lu, explicit @ current)
-        if not np.all(np.isfinite(current)):
-            raise NumericError("macro solve produced non-finite values")
-        out[k] = current
+    out[1:] = (decay * coeffs) @ vecs.T
+    if not np.all(np.isfinite(out)):
+        raise NumericError("macro solve produced non-finite values")
     return MacroRun(grid=op.grid, times=times, rho=out)
 
 

@@ -276,16 +276,19 @@ def test_advance_reports_rounds(asym_params):
 
 def test_advance_raises_on_overflowing_velocity(monkeypatch):
     # tail exponent alpha = 0.005: about one inverse-cdf draw in 40 overflows
-    # to inf, and an infinite flight lands at NaN.  The caller's errstate
-    # must reach the workers, or their RuntimeWarnings become errors here.
+    # to inf.  A post-collision draw that does so, in a worker thread, must
+    # raise at its round and time, not warn or pass on an infinite flight.
     params = ModelParams(alpha=0.005, beta=0.0, kappa=0.002)
     monkeypatch.setattr(kinetic_mc.os, "sched_getaffinity",
                         lambda pid: {0, 1})
-    with np.errstate(all="ignore"), warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         ens = init_ensemble(params, n=40, seed=5, partitions=2)
         assert np.all(np.isfinite(ens.velocities))
-        with pytest.raises(NumericError, match="non-finite positions"):
+        with pytest.raises(NumericError, match=r"\d+ of \d+ post-collision "
+                                               r"velocity draws overflow .* "
+                                               r"at round \d+, t=\S+ "
+                                               r"\(tail exponent alpha=0\.005"):
             advance(ens, dt_macro=5.0, eps=0.5)
 
 

@@ -257,14 +257,28 @@ def test_solve_macro_snapshot_handling():
     grid = SpatialGrid(64, 20.0)
     op = nl.assemble(FLAT, grid)
     rho0 = DensityField(grid, periodized_gaussian(grid), time=0.2)
-    run = nl.solve_macro(op, rho0, 0.3, dt=0.01,
-                         snapshot_times=[0.2, 0.35, 0.5])
+    run = nl.solve_macro(op, rho0, 0.3, snapshot_times=[0.2, 0.35, 0.5])
     assert run.times.tolist() == [0.2, 0.35, 0.5]
     assert np.array_equal(run.rho[0], rho0.values)
-    # landing the middle snapshot must not depend on it dividing dt evenly
-    run2 = nl.solve_macro(op, rho0, 0.3, dt=0.01,
-                          snapshot_times=[0.2, 0.307, 0.5])
+    run2 = nl.solve_macro(op, rho0, 0.3, snapshot_times=[0.2, 0.307, 0.5])
     assert run2.rho.shape == (3, 64)
+    np.testing.assert_allclose(run2.rho[-1], run.rho[-1], rtol=0, atol=1e-14)
+
+
+def test_solve_macro_decays_a_fourier_mode_exactly():
+    # flat rate: A is circulant, so cos(2 pi k x / L) is an eigenvector with
+    # eigenvalue circulant_symbol()[k] and must decay by exactly its exponential
+    grid = SpatialGrid(64, 20.0)
+    op = nl.assemble(FLAT, grid)
+    k, amp, t = 8, 0.02, 0.5
+    wave = np.cos(2.0 * np.pi * k * grid.centers / grid.length)
+    rho0 = DensityField(grid, 1.0 / grid.length + amp * wave, time=0.0)
+    run = nl.solve_macro(op, rho0, t)
+    lam = op.circulant_symbol()[k]
+    exact = (1.0 / grid.length
+             + amp * np.exp(-FLAT.kappa * lam * (run.times[:, None] - rho0.time))
+             * wave[None, :])
+    assert np.abs(run.rho - exact).max() <= 1e-12 * amp
 
 
 def test_solve_macro_validations():
@@ -277,10 +291,6 @@ def test_solve_macro_validations():
         nl.solve_macro(op, other, 0.5)
     with pytest.raises(ValidationError):
         nl.solve_macro(op, rho0, 0.0)
-    with pytest.raises(ValidationError):
-        nl.solve_macro(op, rho0, 0.5, dt=-0.1)
-    with pytest.raises(ValidationError):
-        nl.solve_macro(op, rho0, 0.5, dt=0.7)
     with pytest.raises(ValidationError):
         nl.solve_macro(op, rho0, 0.5, snapshot_times=[0.1, 0.5])
     with pytest.raises(ValidationError):
