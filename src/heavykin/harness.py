@@ -11,8 +11,9 @@ epsilon and disclosed in the metrics).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,8 @@ from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid, \
 from .kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from .kinetic_mc import advance, density_standard_error, estimate_density, \
     init_ensemble
-from .model import ModelParams, coercivity_constant, drift, nu0
+from .model import ModelParams, coercivity_constant, critical_speed, drift, \
+    nu0
 from .nonlocal_op import assemble, solve_macro
 from .outputs import _plain
 
@@ -289,9 +291,47 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
         "qplus_term": corrector_term_qplus(cfg.model, eps, phi, run),
         "drift_g_term": corrector_term_drift_g(cfg.model, eps, phi, run),
         "drift_rho_term": corrector_term_drift_rho(cfg.model, eps, phi, run),
+        "steps": run.steps,
+        # the velocity-grid defects run_kinetic_det warns about; a warning
+        # raised in a worker process never reaches the caller
+        "tail_mass_loss": run.dvm.tail_mass_loss,
+        "vmax_over_critical": vgrid.vmax / critical_speed(cfg.model, eps),
         "wall_time": time.perf_counter() - started,
     }
     return row, run
+
+
+# The row job of the sweep in progress, set in each forked worker by
+# _install_job: the job closes over the probe, whose factors are local
+# lambdas, so it reaches the workers by fork inheritance, not by pickling.
+_job = None
+
+
+def _install_job(job) -> None:
+    global _job
+    _job = job
+
+
+def _run_job(eps: float):
+    return _job(eps)
+
+
+def _map_rungs(job, eps_list: list[float], workers: int) -> list:
+    """``[job(e) for e in eps_list]``, on up to ``workers`` forked processes.
+
+    Only eps goes to a worker and only the job's result comes back pickled.
+    Where the platform cannot fork, the rungs run serially in this process.
+    A fork copies only the calling thread, so the sweep forks before
+    mc_cross_check starts its particle threads.
+    """
+    workers = min(workers, len(eps_list))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [job(e) for e in eps_list]
+    with ProcessPoolExecutor(workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_install_job,
+                             initargs=(job,)) as pool:
+        return list(pool.map(_run_job, eps_list))
 
 
 def mc_cross_check(cfg: RunConfig, det_run: KineticRun,
@@ -332,8 +372,11 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
     run from a shared initial density; the limiting nonlocal equation is
     solved once on the same grid; the report rows carry the terminal L^2
     errors, bound margins, remainder magnitudes and wall times, and the
-    verdict list the named pass/fail checks.  Independent eps runs may be
-    executed concurrently; rows are merged in eps order regardless.
+    verdict list the named pass/fail checks.  With ``threads`` > 1 the
+    independent eps runs go to up to ``threads`` forked worker processes
+    (serially where the platform cannot fork); rows are merged in eps order
+    regardless.  A rung failing with a HeavykinError becomes an error row;
+    any other exception reaches the caller with its own type.
     """
     eps_list = [float(e) for e in cfg.eps_list]
     if len(eps_list) != len(set(eps_list)) or \
@@ -370,11 +413,7 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
         except HeavykinError as exc:
             return {"eps": e, "error": f"{type(exc).__name__}: {exc}"}, None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, eps_list))
-    else:
-        results = [job(e) for e in eps_list]
+    results = _map_rungs(job, eps_list, threads)
 
     rows = []
     runs: list[KineticRun | None] = []

@@ -290,6 +290,7 @@ class KineticRun:
     rho_l2: np.ndarray                  # (n_times,) of || rho ||_{L^2}
     phase: list[np.ndarray] = field(default_factory=list)  # [] unless stored
     wall_time: float = 0.0
+    steps: int = 0                      # Strang steps taken
 
     def g_snapshot(self, index: int) -> np.ndarray:
         """g = f - rho F at a stored phase snapshot."""
@@ -411,5 +412,5 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
         times=np.asarray(times), rho=np.asarray(rhos),
         gnorm2=np.asarray(gnorms), mass=np.asarray(masses),
         f0_norm2=f0_norm2, rho_l2=np.asarray(rhol2),
-        phase=phases, wall_time=_time.perf_counter() - started,
+        phase=phases, wall_time=_time.perf_counter() - started, steps=steps,
     )

@@ -178,6 +178,13 @@ def assemble(params: ModelParams, grid: SpatialGrid, images: int = 8) -> Nonloca
     coupling[idx, nxt] += near
     coupling[nxt, idx] += near
 
+    if not np.all(np.isfinite(coupling)):
+        # the image sum behaves like zeta(1 + gamma) ~ 1/gamma, and is inf
+        # once 1 + gamma rounds to 1
+        raise NumericError(
+            f"nonlocal operator couplings are not finite (gamma = {g:.3g}, "
+            f"nx = {grid.nx}); the periodic image sum diverges as gamma -> 0")
+
     diag = np.diag(coupling.sum(axis=1))
     matrix = (diag - coupling) / (1.0 - params.beta)
     return NonlocalOperator(params=params, grid=grid, images=images, matrix=matrix)

@@ -8,6 +8,8 @@ wiring, report determinism, and the failure paths.
 
 import dataclasses
 import json
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from heavykin.harness import (build_grids, check_apriori, check_coercivity,
 from heavykin.kinetic_fv import KineticRun
 from heavykin.kinetic_mc import (advance, density_standard_error,
                                  estimate_density, init_ensemble)
-from heavykin.model import ModelParams
+from heavykin.model import ModelParams, critical_speed
 
 # ---------------------------------------------------------------------------
 # config
@@ -180,11 +182,27 @@ def test_rows_in_eps_order_with_metrics(small_report):
     assert eps == [0.4, 0.2, 0.1]
     for row in small_report.rows:
         for key in ("error_l2", "g_margin", "rho_margin", "mass_err",
-                    "qplus_term", "drift_g_term", "drift_rho_term",
-                    "wall_time"):
+                    "qplus_term", "drift_g_term", "drift_rho_term", "steps",
+                    "tail_mass_loss", "vmax_over_critical", "wall_time"):
             assert key in row
         assert row["wall_time"] > 0
     assert small_report.version == heavykin.__version__
+
+
+def test_rows_carry_steps_and_velocity_grid_defects(small_cfg, small_report):
+    # deterministic, so they survive drop_wall_times
+    bare = json.loads(small_report.to_json(drop_wall_times=True))["rows"]
+    for row, kept, run in zip(small_report.rows, bare, small_report.runs):
+        assert row["steps"] == run.steps > 0
+        assert row["tail_mass_loss"] == run.dvm.tail_mass_loss
+        assert row["vmax_over_critical"] == \
+            run.dvm.vgrid.vmax / critical_speed(small_cfg.model, row["eps"])
+        assert {"steps", "tail_mass_loss", "vmax_over_critical"} <= set(kept)
+    # smaller eps: more steps (faster transport), a larger critical speed
+    assert [r["steps"] for r in small_report.rows] == \
+        sorted(r["steps"] for r in small_report.rows)
+    assert small_report.rows[-1]["vmax_over_critical"] < \
+        small_report.rows[0]["vmax_over_critical"]
 
 
 def test_terminal_errors_decrease(small_report):
@@ -223,9 +241,10 @@ def test_report_json_wall_time_handling(small_report):
 
 
 def test_reports_deterministic_across_thread_counts(small_cfg, small_report):
-    again = run_sweep(small_cfg, threads=2)
-    assert again.to_json(drop_wall_times=True) == \
-        small_report.to_json(drop_wall_times=True)
+    for threads in (2, 4):
+        again = run_sweep(small_cfg, threads=threads)
+        assert again.to_json(drop_wall_times=True) == \
+            small_report.to_json(drop_wall_times=True)
 
 
 def test_report_embeds_rerunnable_config(small_cfg, small_report):
@@ -303,6 +322,106 @@ def test_solver_failure_yields_partial_report(small_cfg, monkeypatch):
     assert not completed.passed and completed.note == "partial report"
     assert not rep.passed()
     json.loads(rep.to_json())                  # still serializable
+
+
+# ---------------------------------------------------------------------------
+# eps rungs in worker processes
+# ---------------------------------------------------------------------------
+
+TINY_CFG_TEXT = """
+discretization.nx = 16
+discretization.nv = 17
+experiment.eps_list = 0.4, 0.2, 0.1
+experiment.t_final = 0.1
+"""
+
+
+@pytest.fixture(scope="module")
+def tiny_cfg():
+    return parse_config(TINY_CFG_TEXT)
+
+
+def _tag_rows_with_pid(monkeypatch):
+    import heavykin.harness as harness_mod
+    real = harness_mod._kinetic_row
+
+    def tagged(*args, **kwargs):
+        row, run = real(*args, **kwargs)
+        row["pid"] = os.getpid()
+        return row, run
+
+    monkeypatch.setattr(harness_mod, "_kinetic_row", tagged)
+
+
+def _fail_at(monkeypatch, eps, exc):
+    import heavykin.harness as harness_mod
+    real = harness_mod.run_kinetic_det
+
+    def failing(params, e, **kwargs):
+        if e == eps:
+            raise exc
+        return real(params, e, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "run_kinetic_det", failing)
+
+
+def test_rungs_run_in_forked_workers(tiny_cfg, monkeypatch):
+    _tag_rows_with_pid(monkeypatch)
+    forked = run_sweep(tiny_cfg, threads=2)
+    assert all(row["pid"] != os.getpid() for row in forked.rows)
+    serial = run_sweep(tiny_cfg, threads=1)
+    assert all(row["pid"] == os.getpid() for row in serial.rows)
+    # the runs come back whole
+    for a, b in zip(forked.runs, serial.runs):
+        assert np.array_equal(a.rho, b.rho) and a.steps == b.steps
+
+
+def test_rungs_run_serially_where_fork_is_missing(tiny_cfg, monkeypatch):
+    import heavykin.harness as harness_mod
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker pool without fork")
+
+    monkeypatch.setattr(harness_mod.multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
+    _tag_rows_with_pid(monkeypatch)
+    rep = run_sweep(tiny_cfg, threads=2)
+    assert [row["pid"] for row in rep.rows] == [os.getpid()] * 3
+
+
+def test_partial_report_identical_across_thread_counts(tiny_cfg, monkeypatch):
+    _fail_at(monkeypatch, 0.2, NumericError("synthetic mid-ladder failure"))
+    reports = [run_sweep(tiny_cfg, threads=n).to_json(drop_wall_times=True)
+               for n in (1, 2)]
+    assert reports[0] == reports[1]
+    rows = json.loads(reports[0])["rows"]
+    assert rows[1]["error"] == "NumericError: synthetic mid-ladder failure"
+    assert "error" not in rows[0] and "error" not in rows[2]
+
+
+def test_foreign_rung_exception_keeps_its_type(tiny_cfg, monkeypatch):
+    # only HeavykinError becomes an error row; anything else is a bug
+    _fail_at(monkeypatch, 0.2, ZeroDivisionError("synthetic bug"))
+    with pytest.raises(ZeroDivisionError, match="synthetic bug"):
+        run_sweep(tiny_cfg, threads=2)
+
+
+def test_workers_capped_by_rung_count(tiny_cfg, monkeypatch):
+    import heavykin.harness as harness_mod
+    started = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", Recording)
+    _tag_rows_with_pid(monkeypatch)
+    rep = run_sweep(dataclasses.replace(tiny_cfg, eps_list=(0.4, 0.2)),
+                    threads=8)
+    assert started == [2]
+    assert len({row["pid"] for row in rep.rows}) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Deterministic kinetic solver: collision step, transport step, full runs."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -335,6 +337,23 @@ def test_run_fails_loudly_on_nonfinite_gnorm(asym_params, monkeypatch):
                                            r"t=0\.2 after \d+ steps"):
         small_run(asym_params, eps=0.5, t_final=0.3,
                   snapshot_times=[0.0, 0.1, 0.2, 0.3])
+
+
+def test_run_counts_its_steps(asym_params, monkeypatch):
+    # one Strang step is one collision; snapshots land by shortened steps
+    calls = []
+    real = kfv.collision_apply
+
+    def counted(fld, dt, eps):
+        calls.append(dt)
+        return real(fld, dt, eps)
+
+    monkeypatch.setattr(kfv, "collision_apply", counted)
+    run = small_run(asym_params, eps=0.4, t_final=0.2,
+                    snapshot_times=[0.0, 0.07, 0.2])
+    expected = sum(math.ceil(span / run.dt_max - 1e-12)
+                   for span in np.diff(run.times))
+    assert run.steps == len(calls) == expected > 0
 
 
 def test_run_apriori_bound_small_grid(asym_params):

@@ -136,6 +136,16 @@ def test_assemble_validations():
         nl.assemble(MOD, SpatialGrid(64, 21.0))
 
 
+def test_assemble_refuses_divergent_image_sum():
+    # 1 + gamma rounds to 1: the image-sum completion zeta(1 + gamma) is inf
+    tiny = 4e-17
+    params = ModelParams(alpha=tiny, beta=-tiny / 2, kappa=tiny / 4,
+                         core_asym=0.0, nu0_mean=1.0, nu0_delta=0.3,
+                         domain_length=20.0)
+    with pytest.raises(NumericError, match="image sum diverges"):
+        nl.assemble(params, SpatialGrid(16, 20.0))
+
+
 def test_circulant_symbol_requires_flat_rate():
     with pytest.raises(ValidationError):
         nl.assemble(MOD, SpatialGrid(64, 20.0)).circulant_symbol()

@@ -3,8 +3,9 @@
 Every model in the box -- alpha in (0, 2), beta in (-alpha, min(alpha,
 2 - alpha)), kappa in (0, alpha/2), delta in [0, 1) -- must give one of the
 documented exit codes and never a traceback, including the corners
-gamma -> 0, gamma -> 2 and delta -> 1.  Runs are `kinetic-det` on tiny grids
-and `kinetic-mc` with a few hundred particles.
+gamma -> 0, gamma -> 2 and delta -> 1.  Runs are `kinetic-det` on tiny grids,
+`kinetic-mc` with a few hundred particles, and two-rung `sweep`s on two
+worker processes (on 16 cells, the fewest the macro operator assembles on).
 """
 
 import os
@@ -64,7 +65,8 @@ def _model(alpha, beta_frac, kappa_frac):
     return -alpha + beta_frac * (upper + alpha), kappa_frac * alpha / 2.0
 
 
-def _run(command, alpha, beta, kappa, delta, core_asym, eps, extra):
+def _run(command, alpha, beta, kappa, delta, core_asym, eps, extra, *flags,
+         nx=8):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "box.cfg")
         with open(cfg, "w") as fh:
@@ -73,14 +75,14 @@ def _run(command, alpha, beta, kappa, delta, core_asym, eps, extra):
                      f"model.kappa = {kappa!r}\n"
                      f"model.nu0_delta = {delta!r}\n"
                      f"model.core_asym = {core_asym!r}\n"
-                     "discretization.nx = 8\n"
+                     f"discretization.nx = {nx}\n"
                      "discretization.nv = 9\n"
-                     f"experiment.eps_list = {eps!r}\n"
+                     f"experiment.eps_list = {eps}\n"
                      "experiment.t_final = 0.05\n"
                      f"output.dir = {tmp}/out\n"
                      "output.formats = csv, json\n"
                      + extra)
-        return main([command, "--config", cfg, "--quiet"])
+        return main([command, "--config", cfg, "--quiet", *flags])
 
 
 def _kinetic_det(alpha, beta, kappa, delta, core_asym, eps, vmax, order):
@@ -130,4 +132,22 @@ def test_kinetic_mc_exit_codes_over_parameter_box(alpha, beta_frac, kappa_frac,
     beta, kappa = _model(alpha, beta_frac, kappa_frac)
     code = _run("kinetic-mc", alpha, beta, kappa, delta, core_asym, eps,
                 "experiment.particles = 200\n")
+    assert code in (0, 1, 2, 3)
+
+
+@given(**MODEL_BOX, vmax=st.sampled_from(["4", "40"]),
+       order=st.sampled_from([1, 2]))
+@corners(grids=True)
+@settings(max_examples=60, deadline=None)
+# as for kinetic-det; the forked workers inherit these filters
+@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+def test_sweep_exit_codes_over_parameter_box(alpha, beta_frac, kappa_frac,
+                                             delta, core_asym, eps, vmax,
+                                             order):
+    beta, kappa = _model(alpha, beta_frac, kappa_frac)
+    code = _run("sweep", alpha, beta, kappa, delta, core_asym,
+                f"{2 * eps!r}, {eps!r}",
+                f"discretization.vmax_policy = {vmax}\n"
+                f"discretization.scheme_order = {order}\n",
+                "--threads", "2", nx=16)
     assert code in (0, 1, 2, 3)
