@@ -254,7 +254,7 @@ def cmd_invariants(args) -> int:
                               - eta(params, pairs[:, 1], pairs[:, 0]))))
 
     verdicts = [
-        check_coercivity(params, 1000, seed=cfg.seed),
+        check_coercivity(params, build_grids(cfg)[1], 1000, seed=cfg.seed),
         Verdict("hazard-normalization", worst_hazard <= 1e-12,
                 "max |weight - 1| <= 1e-12",
                 {"max_defect": worst_hazard, "samples": n}),

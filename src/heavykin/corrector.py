@@ -534,7 +534,7 @@ def chi_l2_diagnostics(params: ModelParams, phi: ProbeFunction, eps: float, *,
                             phi.x_center + phi.x_halfwidth, nxq)
     vgrid = _gap_vgrid(params, eps, nv)
     fw = vgrid.weights * equilibrium_pdf(params, vgrid.v)
-    tail = 2.0 * params.kappa / params.alpha * vgrid.vmax ** (-params.alpha)
+    tail = params.tail_mass_beyond(vgrid.vmax)
     fl = _flight(params, xq[:, None], vgrid.v[None, :], eps, nodes)
 
     ref = phi.space.value(xq)

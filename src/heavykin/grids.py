@@ -126,10 +126,7 @@ class DiscreteModel:
     @property
     def tail_mass_loss(self) -> float:
         """Continuum equilibrium mass beyond the last node, 2 kappa vmax^-alpha / alpha."""
-        return (
-            2.0 * self.params.kappa * self.vgrid.vmax ** (-self.params.alpha)
-            / self.params.alpha
-        )
+        return self.params.tail_mass_beyond(self.vgrid.vmax)
 
     # -- discrete moments ------------------------------------------------
 

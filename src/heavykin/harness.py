@@ -11,6 +11,7 @@ epsilon and disclosed in the metrics).
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -159,52 +160,69 @@ def check_apriori(run: KineticRun) -> Verdict:
     )
 
 
-def check_coercivity(params: ModelParams, n_samples: int = 1000, *,
-                     nv: int = 129, vscale: float | None = None,
-                     seed: int = 2026, tol: float = 1e-10) -> Verdict:
+# The four families of random states check_coercivity samples, in turn.
+_SAMPLE_KINDS = ("equilibrium times noise", "equilibrium multiple",
+                 "sparse spikes", "modulated equilibrium")
+
+
+def check_coercivity(params: ModelParams, vgrid: VelocityGrid,
+                     n_samples: int = 1000, *, seed: int = 2026,
+                     tol: float = 1e-10) -> Verdict:
     """Spectral-gap and gain-boundedness inequalities on random data.
 
-    For random nonnegative discrete densities f and random positions x,
+    For random nonnegative densities f on ``vgrid`` and random positions x,
     checks  sum_v w Q(f) f / F  <=  -nu0(x)/(2M) ||f - rho F||^2_{L^2(<v>^b/F)}
     and the gain bound  ||Q+(f)/nu||^2_{L^2(nu/F)} <= ||f||^2_{L^2(nu/F)}.
+    A sample whose relative violation is not finite (a grid so wide that
+    the weighted sums overflow) raises :class:`NumericError`.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be positive")
-    if vscale is None:
-        vscale = auto_vscale(params, nv, 1.0)
-    dvm = DiscreteModel(params, VelocityGrid(nv, vscale))
+    dvm = DiscreteModel(params, vgrid)
+    nv = vgrid.nv
     m_const = coercivity_constant(params)
-    w, b, f_eq = dvm.vgrid.weights, dvm.bracket_beta, dvm.f_eq
+    w, b, f_eq = vgrid.weights, dvm.bracket_beta, dvm.f_eq
     rng = np.random.default_rng(seed)
 
     worst_gap = -np.inf
     worst_gain = -np.inf
-    for i in range(n_samples):
-        x = float(rng.uniform(0.0, params.domain_length))
-        kind = i % 4
-        if kind == 0:
-            f = f_eq * rng.exponential(1.0, size=nv)
-        elif kind == 1:
-            f = float(rng.exponential(1.0)) * f_eq       # exact kernel element
-        elif kind == 2:
-            f = np.zeros(nv)
-            idx = rng.integers(0, nv, size=int(rng.integers(1, 6)))
-            f[idx] = rng.exponential(1.0, size=idx.size)
-        else:
-            f = f_eq * (1.0 + 0.9 * np.sin(3.0 * dvm.vgrid.u)) \
-                * rng.exponential(1.0, size=nv)
-        q = dvm.collision_operator(x, f)
-        lhs = float(np.sum(w * q * f / f_eq))
-        rho = float(dvm.density(f))
-        defect = f - rho * f_eq
-        quad = float(nu0(params, x) * np.sum(w * b * defect ** 2 / f_eq))
-        rhs = -quad / (2.0 * m_const)
-        worst_gap = max(worst_gap, (lhs - rhs) / (1.0 + abs(rhs)))
+    # overflowing sums are caught below, by the finiteness of each sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_samples):
+            x = float(rng.uniform(0.0, params.domain_length))
+            kind = i % 4
+            if kind == 0:
+                f = f_eq * rng.exponential(1.0, size=nv)
+            elif kind == 1:
+                f = float(rng.exponential(1.0)) * f_eq   # exact kernel element
+            elif kind == 2:
+                f = np.zeros(nv)
+                idx = rng.integers(0, nv, size=int(rng.integers(1, 6)))
+                f[idx] = rng.exponential(1.0, size=idx.size)
+            else:
+                f = f_eq * (1.0 + 0.9 * np.sin(3.0 * vgrid.u)) \
+                    * rng.exponential(1.0, size=nv)
+            q = dvm.collision_operator(x, f)
+            lhs = float(np.sum(w * q * f / f_eq))
+            rho = float(dvm.density(f))
+            defect = f - rho * f_eq
+            quad = float(nu0(params, x) * np.sum(w * b * defect ** 2 / f_eq))
+            rhs = -quad / (2.0 * m_const)
+            gap = (lhs - rhs) / (1.0 + abs(rhs))
 
-        mb = float(dvm.moment_beta(f))
-        gain_sq = float(nu0(params, x)) * mb ** 2 / dvm.c_beta_disc
-        f_sq = float(nu0(params, x) * np.sum(w * b * f ** 2 / f_eq))
-        worst_gain = max(worst_gain, (gain_sq - f_sq) / (1.0 + abs(f_sq)))
+            # squared as a numpy scalar, which overflows to inf, not OverflowError
+            gain_sq = float(nu0(params, x)) * float(dvm.moment_beta(f) ** 2) \
+                / dvm.c_beta_disc
+            f_sq = float(nu0(params, x) * np.sum(w * b * f ** 2 / f_eq))
+            gain = (gain_sq - f_sq) / (1.0 + abs(f_sq))
+            for name, term in (("gap", gap), ("gain", gain)):
+                if not math.isfinite(term):
+                    raise NumericError(
+                        f"coercivity sample {i} ({_SAMPLE_KINDS[kind]}, "
+                        f"x={x:.6g}) has a non-finite {name} violation on "
+                        f"the velocity grid with vmax={vgrid.vmax:.3g}")
+            worst_gap = max(worst_gap, gap)
+            worst_gain = max(worst_gain, gain)
 
     passed = worst_gap <= tol and worst_gain <= tol
     return Verdict(
@@ -471,8 +489,7 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
             and ok_runs[0].times.size >= 3:
         verdicts.append(check_correctors(rows, params))
 
-    verdicts.append(check_coercivity(params, 200, nv=min(cfg.nv, 129),
-                                     seed=cfg.seed))
+    verdicts.append(check_coercivity(params, vgrid, 200, seed=cfg.seed))
 
     if cfg.particles > 0 and runs[0] is not None:
         verdicts.append(mc_cross_check(cfg, runs[0]))

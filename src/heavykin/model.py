@@ -176,6 +176,11 @@ class ModelParams:
         """Total equilibrium mass at ``|v| >= 1``, equal to ``2 kappa / alpha``."""
         return 2.0 * self.kappa / self.alpha
 
+    def tail_mass_beyond(self, speed: float) -> float:
+        """Equilibrium mass at ``|v| >= speed``, for ``speed >= 1``: equal to
+        ``2 kappa speed^(-alpha) / alpha``."""
+        return 2.0 * self.kappa * speed ** (-self.alpha) / self.alpha
+
     def as_dict(self) -> dict:
         """All fields plus derived constants, for reports and `model-info`."""
         return {

@@ -266,7 +266,8 @@ def test_criterion_06_dissipation_and_coercivity_constant():
     from heavykin import check_coercivity
 
     params = params_with(beta=0.25, nu0_delta=0.3)
-    verdict = check_coercivity(params, 1000, seed=20260815, tol=1e-10)
+    vgrid = VelocityGrid(129, auto_vscale(params, 129, 1.0))
+    verdict = check_coercivity(params, vgrid, 1000, seed=20260815, tol=1e-10)
 
     def weighted_moment(exponent: float) -> float:
         fn = lambda v: (max(abs(v), 1.0) ** exponent

@@ -401,6 +401,39 @@ def test_cli_invariants(tmp_path, capsys):
     assert all(v["passed"] for v in data["verdicts"])
 
 
+def _heavy_tail_cfg(tmp_path, alpha, kappa, vmax):
+    return write_cfg(tmp_path, (
+        f"model.alpha = {alpha}\n"
+        "model.beta = 0.0\n"
+        f"model.kappa = {kappa}\n"
+        "model.core_asym = 0.0\n"
+        "discretization.nx = 16\n"
+        "discretization.nv = 9\n"
+        f"discretization.vmax_policy = {vmax}\n"
+        "experiment.eps_list = 0.4, 0.2\n"
+        "experiment.t_final = 0.05\n"
+        f"output.dir = {tmp_path / 'out'}\n"
+        "output.formats = json\n"))
+
+
+# the tiny explicit grids miss the critical scale and the tail-mass budget
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_cli_sweep_checks_coercivity_on_explicit_grid(tmp_path, capsys):
+    # the automatic vmax overflows at this alpha; the sweep must not size
+    # a grid of its own for the coercivity check when the config gives one
+    cfg = _heavy_tail_cfg(tmp_path, 1e-3, 4e-4, 4)
+    assert main(["sweep", "--config", cfg]) in (0, 1)
+    assert "[PASS] coercivity" in capsys.readouterr().out
+
+
+def test_cli_invariants_overflowing_grid_is_numeric_failure(tmp_path,
+                                                            capsys):
+    # the automatic vmax is ~2e290 here: the coercivity sums overflow
+    cfg = _heavy_tail_cfg(tmp_path, 0.01, 0.004, "auto")
+    assert main(["invariants", "--config", cfg]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_cli_limit_check_small_gamma(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, (

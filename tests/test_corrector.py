@@ -308,7 +308,7 @@ def test_gap_zero_for_space_constant(asym_params):
     tq, wt = co._legendre_rule(t0, t1, 8)
     xq, wx = co._legendre_rule(5.0, 15.0, 16)
     vmax = co._gap_vgrid(asym_params, 0.1, 65).vmax
-    tail = (2 * asym_params.kappa / asym_params.alpha) * vmax ** (-asym_params.alpha)
+    tail = asym_params.tail_mass_beyond(vmax)
     a2 = wt @ phi.time.value(tq) ** 2
     tail_part = a2 * (tail * (wx @ phi.space.value(xq) ** 2))
     assert gap == pytest.approx(tail_part, abs=1e-20)

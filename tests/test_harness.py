@@ -24,7 +24,7 @@ from heavykin.grids import DiscreteModel, SpatialGrid, VelocityGrid
 from heavykin.harness import (build_grids, check_apriori, check_coercivity,
                               check_correctors, mc_cross_check,
                               probe_from_choice, run_sweep)
-from heavykin.kinetic_fv import KineticRun
+from heavykin.kinetic_fv import KineticRun, auto_vscale
 from heavykin.kinetic_mc import (advance, density_standard_error,
                                  estimate_density, init_ensemble)
 from heavykin.model import ModelParams, critical_speed
@@ -449,12 +449,38 @@ def test_check_apriori_requires_diagnostics(small_cfg):
 
 
 def test_check_coercivity_degenerate_rate(asym_params):
-    verdict = check_coercivity(asym_params, 300, seed=11)
+    vgrid = VelocityGrid(129, auto_vscale(asym_params, 129, 1.0))
+    verdict = check_coercivity(asym_params, vgrid, 300, seed=11)
     assert verdict.passed
     assert verdict.metrics["max_gap_violation"] < 1e-12
     assert verdict.metrics["max_gain_violation"] < 1e-12
     with pytest.raises(ValidationError, match="n_samples"):
-        check_coercivity(asym_params, 0)
+        check_coercivity(asym_params, vgrid, 0)
+
+
+def test_check_coercivity_refuses_non_finite_samples():
+    # on a grid this wide the weighted sums overflow; the verdict must not
+    # pass on NaN samples, nor fail with a bare OverflowError
+    params = ModelParams(alpha=0.01, beta=0.0, kappa=0.004)
+    vgrid = VelocityGrid(129, 1e160 / 128)
+    with pytest.raises(NumericError,
+                       match=r"sample \d+ .*x=.*vmax=1e\+160"):
+        check_coercivity(params, vgrid, 200)
+
+
+# vmax 40 misses the tail-mass budget at this alpha: the run warns
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_sweep_checks_coercivity_on_its_own_grid():
+    cfg = parse_config("discretization.nx = 16\n"
+                       "discretization.nv = 17\n"
+                       "discretization.vmax_policy = 40\n"
+                       "experiment.eps_list = 0.4, 0.2\n"
+                       "experiment.t_final = 0.05\n")
+    report = run_sweep(cfg)
+    [verdict] = [v for v in report.verdicts if v.criterion == "coercivity"]
+    direct = check_coercivity(cfg.model, build_grids(cfg)[1], 200,
+                              seed=cfg.seed)
+    assert verdict.metrics == direct.metrics
 
 
 def test_check_correctors_input_validation(small_cfg, small_report):

@@ -155,6 +155,15 @@ def test_ppf_hits_break_points(asym_params):
     assert feq.ppf(1.0 - tm) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_tail_mass_beyond_matches_cdf(asym_params):
+    feq = m.equilibrium(asym_params)
+    assert asym_params.tail_mass_beyond(1.0) == asym_params.tail_mass
+    for speed in (1.5, 40.0, 2.5e3):
+        both_tails = feq.cdf(-speed) + (1.0 - feq.cdf(speed))
+        assert asym_params.tail_mass_beyond(speed) == \
+            pytest.approx(float(both_tails), rel=1e-12)
+
+
 def test_cdf_is_monotone(asym_params):
     v = np.linspace(-50.0, 50.0, 4001)
     c = m.equilibrium(asym_params).cdf(v)

@@ -4,8 +4,9 @@ Every model in the box -- alpha in (0, 2), beta in (-alpha, min(alpha,
 2 - alpha)), kappa in (0, alpha/2), delta in [0, 1) -- must give one of the
 documented exit codes and never a traceback, including the corners
 gamma -> 0, gamma -> 2 and delta -> 1.  Runs are `kinetic-det` on tiny grids,
-`kinetic-mc` with a few hundred particles, and two-rung `sweep`s on two
-worker processes (on 16 cells, the fewest the macro operator assembles on).
+`kinetic-mc` with a few hundred particles, two-rung `sweep`s on two worker
+processes (on 16 cells, the fewest the macro operator assembles on), one-rung
+`chi-check`s, and `invariants` on the same tiny velocity grids.
 """
 
 import os
@@ -50,11 +51,13 @@ CORNERS = [
 ]
 
 
-def corners(*, grids: bool):
-    """One hypothesis example per corner, with its velocity grid if asked."""
+def corners(*grid):
+    """One hypothesis example per corner, with the named parts ("vmax",
+    "order") of its velocity grid."""
     def decorate(test):
         for model, vmax, order in CORNERS:
-            extra = dict(vmax=vmax, order=order) if grids else {}
+            extra = {key: value for key, value in
+                     dict(vmax=vmax, order=order).items() if key in grid}
             test = example(**model, **extra)(test)
         return test
     return decorate
@@ -96,7 +99,7 @@ def _kinetic_det(alpha, beta, kappa, delta, core_asym, eps, vmax, order):
 # The drawn velocity grids are explicit: the automatic vmax grows like
 # (2 kappa / (alpha tail_target))^(1/alpha), so a CFL-bound run at small
 # alpha may legitimately take hours.  The corners use it.
-@corners(grids=True)
+@corners("vmax", "order")
 @settings(max_examples=60, deadline=None)
 # tiny grids miss the critical scale by design: the tail-mass warning, and
 # numpy's overflow warnings at the corners, are expected
@@ -122,7 +125,7 @@ def test_kinetic_det_rejects_underflowed_equilibrium(capsys):
 
 
 @given(**MODEL_BOX)
-@corners(grids=False)
+@corners()
 @settings(max_examples=60, deadline=None)
 # as alpha - beta -> 0 the inverse-cdf tail draws overflow (numpy warns, the
 # run exits 3)
@@ -137,7 +140,11 @@ def test_kinetic_mc_exit_codes_over_parameter_box(alpha, beta_frac, kappa_frac,
 
 @given(**MODEL_BOX, vmax=st.sampled_from(["4", "40"]),
        order=st.sampled_from([1, 2]))
-@corners(grids=True)
+@corners("vmax", "order")
+# the automatic vmax of this model is ~1e290: a coercivity check on a grid of
+# its own overflowed, although the config gives vmax 4
+@example(alpha=0.01, beta_frac=0.5, kappa_frac=0.8, delta=0.0, core_asym=0.0,
+         eps=0.2, vmax="4", order=2)
 @settings(max_examples=60, deadline=None)
 # as for kinetic-det; the forked workers inherit these filters
 @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
@@ -150,4 +157,25 @@ def test_sweep_exit_codes_over_parameter_box(alpha, beta_frac, kappa_frac,
                 f"discretization.vmax_policy = {vmax}\n"
                 f"discretization.scheme_order = {order}\n",
                 "--threads", "2", nx=16)
+    assert code in (0, 1, 2, 3)
+
+
+@given(**MODEL_BOX)
+@corners()
+@settings(max_examples=20, deadline=None)
+def test_chi_check_exit_codes_over_parameter_box(alpha, beta_frac, kappa_frac,
+                                                 delta, core_asym, eps):
+    beta, kappa = _model(alpha, beta_frac, kappa_frac)
+    code = _run("chi-check", alpha, beta, kappa, delta, core_asym, eps, "")
+    assert code in (0, 1, 2, 3)
+
+
+@given(**MODEL_BOX, vmax=st.sampled_from(["4", "40"]))
+@corners("vmax")
+@settings(max_examples=50, deadline=None)
+def test_invariants_exit_codes_over_parameter_box(alpha, beta_frac, kappa_frac,
+                                                  delta, core_asym, eps, vmax):
+    beta, kappa = _model(alpha, beta_frac, kappa_frac)
+    code = _run("invariants", alpha, beta, kappa, delta, core_asym, eps,
+                f"discretization.vmax_policy = {vmax}\n")
     assert code in (0, 1, 2, 3)
