@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -29,7 +28,8 @@ from .kinetic_mc import (advance, density_standard_error, estimate_density,
                          init_ensemble)
 from .nonlocal_op import assemble, eta, kernel_table, nonlocal_operator_at, \
     solve_macro
-from .outputs import write_manifest_json, write_outputs, write_table_csv
+from .outputs import (check_formats, json_text, write_manifest_json,
+                      write_outputs, write_table_csv)
 
 __all__ = ["main"]
 
@@ -51,6 +51,8 @@ def _config(args) -> RunConfig:
             overrides[attr] = getattr(args, attr)
     if overrides:
         cfg = validate_config(dataclasses.replace(cfg, **overrides))
+    # only kinetic-det has phase-space snapshots; fail before any work runs
+    check_formats(cfg.formats, phase=args.command == "kinetic-det")
     return cfg
 
 
@@ -63,6 +65,19 @@ def _print_verdicts(args, verdicts) -> bool:
     return ok
 
 
+def _write_checks(args, cfg: RunConfig, verdicts, columns=(), rows=()) -> int:
+    """Write a check command's table (if it has ``columns``) and verdict
+    manifest, print the verdicts, and return the exit code."""
+    stem = f"{cfg.out_dir}/{args.command.replace('-', '_')}"
+    if columns and "csv" in cfg.formats:
+        write_table_csv(f"{stem}.csv", columns, rows)
+    if "json" in cfg.formats:
+        write_manifest_json({"kind": args.command,
+                             "verdicts": [v.as_dict() for v in verdicts]},
+                            f"{stem}.json", config=config_dict(cfg))
+    return 0 if _print_verdicts(args, verdicts) else 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -71,7 +86,7 @@ def _print_verdicts(args, verdicts) -> bool:
 def cmd_model_info(args) -> int:
     cfg = _config(args)
     info = cfg.model.as_dict()
-    _say(args, json.dumps(info, indent=2, sort_keys=True))
+    _say(args, json_text(info))
     if args.out is not None:
         write_manifest_json({"kind": "model-info", **info},
                             f"{cfg.out_dir}/model.json",
@@ -87,7 +102,7 @@ def cmd_kinetic_det(args) -> int:
         cfg.model, eps, xgrid=xgrid, vgrid=vgrid, t_final=cfg.t_final,
         snapshot_times=cfg.snapshot_times,
         scheme_order=cfg.scheme_order,
-        cfl=0.9 if cfg.dt_policy == "cfl" else float(cfg.dt_policy),
+        cfl=cfg.cfl,
         store_phase="binary" in cfg.formats)
     paths = write_outputs(run, cfg.out_dir, cfg.formats,
                           config=config_dict(cfg))
@@ -137,16 +152,8 @@ def cmd_chi_check(args) -> int:
                 {"ratios": [r["bound_ratio"] for r in rows],
                  "ratios_dt": [r["bound_ratio_dt"] for r in rows]}),
     ]
-    if "csv" in cfg.formats:
-        write_table_csv(f"{cfg.out_dir}/chi_check.csv",
-                        ("eps", "gap", "gap_dt", "bound_ratio",
-                         "bound_ratio_dt"), rows)
-    if "json" in cfg.formats:
-        write_manifest_json({"kind": "chi-check",
-                             "config": config_dict(cfg),
-                             "verdicts": [v.as_dict() for v in verdicts]},
-                            f"{cfg.out_dir}/chi_check.json")
-    return 0 if _print_verdicts(args, verdicts) else 1
+    return _write_checks(args, cfg, verdicts, ("eps", "gap", "gap_dt",
+                         "bound_ratio", "bound_ratio_dt"), rows)
 
 
 def cmd_kernel(args) -> int:
@@ -210,15 +217,8 @@ def cmd_limit_check(args) -> int:
             "errors decreasing in eps; terminal relative error < 5%",
             {"eps": eps_list, "abs_err": errs, "terminal_rel": rel,
              "target": target}))
-    if "csv" in cfg.formats:
-        write_table_csv(f"{cfg.out_dir}/limit_check.csv",
-                        ("t", "x", "eps", "target", "abs_err"), rows)
-    if "json" in cfg.formats:
-        write_manifest_json({"kind": "limit-check",
-                             "config": config_dict(cfg),
-                             "verdicts": [v.as_dict() for v in verdicts]},
-                            f"{cfg.out_dir}/limit_check.json")
-    return 0 if _print_verdicts(args, verdicts) else 1
+    return _write_checks(args, cfg, verdicts,
+                         ("t", "x", "eps", "target", "abs_err"), rows)
 
 
 def cmd_sweep(args) -> int:
@@ -265,12 +265,7 @@ def cmd_invariants(args) -> int:
                 "max |eta(x,y) - eta(y,x)| <= 1e-12",
                 {"max_defect": sym, "pairs": 500}),
     ]
-    if "json" in cfg.formats:
-        write_manifest_json({"kind": "invariants",
-                             "config": config_dict(cfg),
-                             "verdicts": [v.as_dict() for v in verdicts]},
-                            f"{cfg.out_dir}/invariants.json")
-    return 0 if _print_verdicts(args, verdicts) else 1
+    return _write_checks(args, cfg, verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .model import ModelParams
+from .outputs import FORMATS
 
 __all__ = ["RunConfig", "parse_config", "load_config", "serialize_config",
            "config_dict", "default_config", "validate_config"]
 
 _SECTIONS = ("model", "discretization", "experiment", "output")
 _PHI_CHOICES = ("gaussian", "packet", "constant")
-_FORMATS = ("csv", "json", "binary", "gnuplot")
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,10 @@ class RunConfig:
     out_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 
-
-def _float(raw: str) -> float:
-    return float(raw)
+    @property
+    def cfl(self) -> float:
+        """The Courant fraction ``dt_policy`` names ("cfl" is 0.9)."""
+        return 0.9 if self.dt_policy == "cfl" else float(self.dt_policy)
 
 
 def _int(raw: str) -> int:
@@ -59,16 +60,9 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _str(raw: str) -> str:
-    return raw
-
-
-def _policy(raw: str) -> float | str:
-    return "auto" if raw == "auto" else float(raw)
-
-
-def _dt_policy(raw: str) -> float | str:
-    return "cfl" if raw == "cfl" else float(raw)
+def _keyword_or_float(keyword: str):
+    """Parser for a policy that is ``keyword`` or an explicit number."""
+    return lambda raw: keyword if raw == keyword else float(raw)
 
 
 def _str_list(raw: str) -> tuple[str, ...]:
@@ -80,25 +74,25 @@ def _str_list(raw: str) -> tuple[str, ...]:
 
 # key -> (RunConfig attribute or model field, parser)
 _SCHEMA: dict[str, tuple[str, object]] = {
-    "model.alpha": ("alpha", _float),
-    "model.beta": ("beta", _float),
-    "model.kappa": ("kappa", _float),
-    "model.core_asym": ("core_asym", _float),
-    "model.nu0_mean": ("nu0_mean", _float),
-    "model.nu0_delta": ("nu0_delta", _float),
-    "model.domain_length": ("domain_length", _float),
+    "model.alpha": ("alpha", float),
+    "model.beta": ("beta", float),
+    "model.kappa": ("kappa", float),
+    "model.core_asym": ("core_asym", float),
+    "model.nu0_mean": ("nu0_mean", float),
+    "model.nu0_delta": ("nu0_delta", float),
+    "model.domain_length": ("domain_length", float),
     "discretization.nx": ("nx", _int),
     "discretization.nv": ("nv", _int),
-    "discretization.vmax_policy": ("vmax_policy", _policy),
+    "discretization.vmax_policy": ("vmax_policy", _keyword_or_float("auto")),
     "discretization.scheme_order": ("scheme_order", _int),
-    "discretization.dt_policy": ("dt_policy", _dt_policy),
+    "discretization.dt_policy": ("dt_policy", _keyword_or_float("cfl")),
     "experiment.eps_list": ("eps_list", _float_list),
-    "experiment.t_final": ("t_final", _float),
+    "experiment.t_final": ("t_final", float),
     "experiment.snapshot_times": ("snapshot_times", _float_list),
     "experiment.particles": ("particles", _int),
     "experiment.seed": ("seed", _int),
-    "experiment.phi_choice": ("phi_choice", _str),
-    "output.dir": ("out_dir", _str),
+    "experiment.phi_choice": ("phi_choice", str),
+    "output.dir": ("out_dir", str),
     "output.formats": ("formats", _str_list),
 }
 
@@ -150,12 +144,17 @@ def parse_config(text: str) -> RunConfig:
         else:
             config_kwargs[attr] = parsed
 
-    cfg = RunConfig(model=ModelParams(**model_kwargs), **config_kwargs)
-    _validate(cfg)
-    return cfg
+    return validate_config(RunConfig(model=ModelParams(**model_kwargs),
+                                     **config_kwargs))
 
 
-def _validate(cfg: RunConfig) -> None:
+def validate_config(cfg: RunConfig) -> RunConfig:
+    """Re-check every constraint on an already-built config.
+
+    ``parse_config`` validates on the way in; use this after programmatic
+    edits (``dataclasses.replace``) so hand-built configs share the same
+    gate.  Returns the config unchanged on success.
+    """
     def bad(constraint: str) -> ConfigError:
         return ConfigError(f"parameter constraint violated: {constraint}")
 
@@ -183,18 +182,8 @@ def _validate(cfg: RunConfig) -> None:
         raise bad("experiment.seed >= 0")
     if cfg.phi_choice not in _PHI_CHOICES:
         raise bad(f"experiment.phi_choice in {{{', '.join(_PHI_CHOICES)}}}")
-    if not cfg.formats or any(f not in _FORMATS for f in cfg.formats):
-        raise bad(f"output.formats subset of {{{', '.join(_FORMATS)}}}")
-
-
-def validate_config(cfg: RunConfig) -> RunConfig:
-    """Re-check every constraint on an already-built config.
-
-    ``parse_config`` validates on the way in; use this after programmatic
-    edits (``dataclasses.replace``) so hand-built configs share the same
-    gate.  Returns the config unchanged on success.
-    """
-    _validate(cfg)
+    if not cfg.formats or any(f not in FORMATS for f in cfg.formats):
+        raise bad(f"output.formats subset of {{{', '.join(FORMATS)}}}")
     return cfg
 
 
@@ -208,10 +197,8 @@ def load_config(path) -> RunConfig:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, tuple):
+    if isinstance(value, list):
         return ", ".join(_format_value(v) for v in value)
-    if isinstance(value, bool):  # pragma: no cover - no bool keys today
-        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -236,15 +223,13 @@ def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(cfg)) == cfg."""
     lines = []
     current_section = None
-    model = cfg.model.as_dict()
-    for key, (attr, _) in _SCHEMA.items():
+    for key, value in config_dict(cfg).items():
         section = key.split(".", 1)[0]
         if section != current_section:
             if current_section is not None:
                 lines.append("")
             lines.append(f"# {section}")
             current_section = section
-        value = model[attr] if key.startswith("model.") else getattr(cfg, attr)
         if value is None:
             continue
         lines.append(f"{key} = {_format_value(value)}")

@@ -42,11 +42,14 @@ from scipy.integrate import quad, simpson
 from .errors import NumericError, ValidationError
 from .model import (
     ModelParams,
+    check_eps,
     critical_speed,
     dnu0,
+    dnu0_integral,
     drift,
     equilibrium_pdf,
     nu0,
+    nu0_integral,
     vel_bracket,
 )
 
@@ -296,23 +299,10 @@ def _laggauss(n: int):
     return u, w
 
 
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps <= 1.0:
-        raise ValidationError("parameter constraint violated: 0 < eps <= 1")
-
-
 def _flight_shift(params: ModelParams, v, eps: float):
     """Displacement per unit flight parameter: vt = eps * v * bracket(v)^-beta."""
     v = np.asarray(v, dtype=float)
     return eps * v * vel_bracket(v) ** (-params.beta)
-
-
-def _cumulative_hazard(params: ModelParams, x, vt, z):
-    # closed form of int_0^z nu0(x + vt*s) ds for the cosine profile; the
-    # sinc form stays finite as vt*z -> 0
-    s = 2.0 * np.pi / params.domain_length
-    osc = np.cos(s * (x + 0.5 * vt * z)) * np.sinc(s * vt * z / (2.0 * np.pi))
-    return params.nu0_mean * z * (1.0 + params.nu0_delta * osc)
 
 
 _BLOCK = 16384   # elements per inversion block: its few arrays stay in cache
@@ -364,9 +354,9 @@ def _newton_block(params: ModelParams, x, vt, u):
     index = np.arange(u.size)
     lo, hi = u / params.nu2, u / params.nu1
     z = u / nu0(params, x)
-    z = np.clip(z * u / _cumulative_hazard(params, x, vt, z), lo, hi)
+    z = np.clip(z * u / nu0_integral(params, x, vt, z), lo, hi)
     for _ in range(100):
-        resid = _cumulative_hazard(params, x, vt, z) - u
+        resid = nu0_integral(params, x, vt, z) - u
         done = np.abs(resid) <= 1e-13 * (1.0 + u)
         out[index[done]] = z[done]
         if done.all():
@@ -425,11 +415,8 @@ def _dx_rate(params: ModelParams, fl: _Flight):
     """
     if params.nu0_delta == 0.0:
         return None
-    s = 2.0 * np.pi / params.domain_length
-    X, VT, Z = fl.x, fl.vt, fl.z
-    growth = (-params.nu0_mean * params.nu0_delta * s * Z
-              * np.sin(s * (X + 0.5 * VT * Z)) * np.sinc(s * VT * Z / (2.0 * np.pi)))
-    return dnu0(params, fl.pts) / nu0(params, fl.pts) - growth
+    return (dnu0(params, fl.pts) / nu0(params, fl.pts)
+            - dnu0_integral(params, fl.x, fl.vt, fl.z))
 
 
 def _dchi_space(space: SpaceFactor, fl: _Flight, rate):
@@ -447,7 +434,7 @@ def chi_eval(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
     the mean-flight scale; probes oscillating faster than a few periods per
     flight (phase eps*xi*v*bracket(v)^-beta above ~3) need more nodes.
     """
-    _check_eps(eps)
+    check_eps(eps)
     fl = _flight(params, x, v, eps, nodes)
     return phi.time.value(t) * fl.average(phi.space.value(fl.pts))
 
@@ -465,7 +452,7 @@ def chi_dx(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
     (nu0_delta == 0) the first two terms vanish identically and dchi/dx is
     the flight average of dphi/dx, computed directly.
     """
-    _check_eps(eps)
+    check_eps(eps)
     fl = _flight(params, x, v, eps, nodes)
     return phi.time.value(t) * _dchi_space(phi.space, fl, _dx_rate(params, fl))
 
@@ -476,7 +463,7 @@ def hazard_weight(params: ModelParams, x, v, eps: float, *, nodes: int = 64):
     Exercises the full substitution + inversion path; the exact value is
     int_0^oo nu0 e^{-U} dz = int_0^oo e^{-u} du = 1 for every (x, v, eps).
     """
-    _check_eps(eps)
+    check_eps(eps)
     fl = _flight(params, x, v, eps, nodes)
     return fl.average(np.ones_like(fl.pts))
 
@@ -523,7 +510,7 @@ def chi_l2_diagnostics(params: ModelParams, phi: ProbeFunction, eps: float, *,
     a^2 or a'^2.  A time-independent probe (a' = 0) leaves the d/dt ratio
     0/0 and raises :class:`ValidationError`.
     """
-    _check_eps(eps)
+    check_eps(eps)
     tq, wt = _legendre_rule(phi.t_support[0], phi.t_support[1], nt)
     a2, da2 = wt @ phi.time.value(tq) ** 2, wt @ phi.time.deriv(tq) ** 2
     if da2 == 0.0:
@@ -580,7 +567,7 @@ def corrector_term_qplus(params: ModelParams, eps: float, phi: ProbeFunction,
     moment sum against the t-independent kernel nu0 ((<s> - s) @ gain);
     time integration uses Simpson's rule on the stored snapshot times.
     """
-    _check_eps(eps)
+    check_eps(eps)
     times = _phase_times(run, phi)
     centers = run.xgrid.centers
     gain = run.dvm.p_gain * run.dvm.vgrid.weights
@@ -596,7 +583,7 @@ def corrector_term_qplus(params: ModelParams, eps: float, phi: ProbeFunction,
 def corrector_term_drift_g(params: ModelParams, eps: float, phi: ProbeFunction,
                            run) -> float:
     """Drift remainder against the deviation: eps^{1-gamma} j int dchi/dx g."""
-    _check_eps(eps)
+    check_eps(eps)
     j = drift(params, eps)
     if j == 0.0:
         return 0.0
@@ -617,7 +604,7 @@ def corrector_term_drift_rho(params: ModelParams, eps: float,
     eps^{1-gamma} j int dt dx rho(t,x) int dv F(v) [dchi/dx - dphi/dx]; the
     v-integral is the t-independent kernel (<rate s + s'> - s') @ F.
     """
-    _check_eps(eps)
+    check_eps(eps)
     j = drift(params, eps)
     if j == 0.0:
         return 0.0
@@ -648,7 +635,7 @@ def operator_limit_lhs(params: ModelParams, t: float, x: float, eps: float,
     the corrector is assumed anywhere.  ``region="core"`` restricts to
     |v| <= 1, the portion covered by the small-velocity estimate.
     """
-    _check_eps(eps)
+    check_eps(eps)
     if region not in ("full", "core"):
         raise ValidationError("region must be 'full' or 'core'")
     nux = float(nu0(params, x))

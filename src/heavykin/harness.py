@@ -10,7 +10,6 @@ epsilon and disclosed in the metrics).
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 import time
@@ -33,7 +32,7 @@ from .kinetic_mc import advance, density_standard_error, estimate_density, \
 from .model import ModelParams, coercivity_constant, critical_speed, drift, \
     nu0
 from .nonlocal_op import assemble, solve_macro
-from .outputs import _plain
+from .outputs import _plain, json_text
 
 __all__ = ["Verdict", "SweepReport", "run_sweep", "check_apriori",
            "check_coercivity", "check_correctors", "mc_cross_check",
@@ -91,11 +90,7 @@ class SweepReport:
         payload = self.as_dict()
         if drop_wall_times:
             payload = _strip_wall_times(payload)
-        try:
-            return json.dumps(payload, indent=2, sort_keys=True,
-                              allow_nan=False)
-        except ValueError as exc:
-            raise NumericError(f"report contains non-finite values: {exc}") from exc
+        return json_text(payload)
 
 
 def _strip_wall_times(obj):
@@ -144,7 +139,7 @@ def check_apriori(run: KineticRun) -> Verdict:
     if times.size == 0 or gnorm2.size == 0 or not run.f0_norm2 > 0:
         raise ValidationError("run carries no stored norm diagnostics")
     m_const = coercivity_constant(run.params)
-    bound = m_const * run.f0_norm2 * run.eps ** run.params.gamma
+    bound = run.apriori_bound
     g_margin = float(np.max(gnorm2) / bound)
     rho_margin = float(np.max(run.rho_l2) / np.sqrt(run.f0_norm2))
     passed = g_margin <= 1.05 and rho_margin <= 1.05
@@ -298,11 +293,10 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
                  vgrid: VelocityGrid, rho0: np.ndarray,
                  phi: ProbeFunction) -> tuple[dict, KineticRun]:
     started = time.perf_counter()
-    cfl = 0.9 if cfg.dt_policy == "cfl" else float(cfg.dt_policy)
     run = run_kinetic_det(
         cfg.model, eps, xgrid=xgrid, vgrid=vgrid, t_final=cfg.t_final,
         snapshot_times=cfg.snapshot_times, scheme_order=cfg.scheme_order,
-        cfl=cfl, rho0=rho0, store_phase=True)
+        cfl=cfg.cfl, rho0=rho0, store_phase=True)
     row = {
         "eps": eps,
         "mass_err": float(np.max(np.abs(np.asarray(run.mass) - 1.0))),

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid, periodized_gaussian
-from .model import ModelParams, critical_speed, drift, nu0
+from .model import (ModelParams, check_eps, coercivity_constant,
+                    critical_speed, drift, nu0)
 
 __all__ = [
     "PhaseField",
@@ -292,6 +293,12 @@ class KineticRun:
     wall_time: float = 0.0
     steps: int = 0                      # Strang steps taken
 
+    @property
+    def apriori_bound(self) -> float:
+        """The a-priori envelope M ||f_0||^2 eps^gamma of ||g(t)||^2."""
+        return (coercivity_constant(self.params) * self.f0_norm2
+                * self.eps ** self.params.gamma)
+
     def g_snapshot(self, index: int) -> np.ndarray:
         """g = f - rho F at a stored phase snapshot."""
         if not self.phase:
@@ -312,8 +319,7 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
     with the quantified tail-mass loss when the velocity grid misses either
     the critical scale eps^(-1/(1-beta)) or the 1e-3 tail-mass budget.
     """
-    if not (0.0 < eps <= 1.0):
-        raise ValidationError(f"eps in (0, 1] (got {eps})")
+    check_eps(eps)
     if not t_final > 0:
         raise ValidationError(f"t_final must be positive (got {t_final})")
     if not 0.0 < cfl <= 1.0:

@@ -27,6 +27,7 @@ from .errors import NumericError, ValidationError
 from .grids import DensityField, SpatialGrid
 from .model import (
     ModelParams,
+    check_eps,
     drift,
     equilibrium,
     nu0,
@@ -155,8 +156,7 @@ def advance(ens: ParticleEnsemble, dt_macro: float, eps: float) -> ParticleEnsem
     """
     if dt_macro <= 0:
         raise ValidationError(f"dt_macro must be positive (got {dt_macro})")
-    if not (0.0 < eps <= 1.0):
-        raise ValidationError(f"eps in (0, 1] (got {eps})")
+    check_eps(eps)
 
     results = _pool_map(_advance_partition,
                         [(ens, sl, g, dt_macro, eps) for sl, g in

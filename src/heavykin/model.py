@@ -41,9 +41,12 @@ __all__ = [
     "sample_post_collision",
     "vel_bracket",
     "nu0",
+    "nu0_integral",
+    "dnu0_integral",
     "collision_frequency",
     "cross_section_b",
     "critical_speed",
+    "check_eps",
     "drift",
     "coercivity_constant",
     "coercivity_functional",
@@ -345,6 +348,20 @@ def dnu0(params: ModelParams, x):
     return out if out.ndim else float(out)
 
 
+def nu0_integral(params: ModelParams, x, vt, z):
+    """Closed form of ``int_0^z nu0(x + vt*s) ds``; finite as vt*z -> 0."""
+    s = 2.0 * np.pi / params.domain_length
+    osc = np.cos(s * (x + 0.5 * vt * z)) * np.sinc(s * vt * z / (2.0 * np.pi))
+    return params.nu0_mean * z * (1.0 + params.nu0_delta * osc)
+
+
+def dnu0_integral(params: ModelParams, x, vt, z):
+    """x-derivative of :func:`nu0_integral`, ``int_0^z nu0'(x + vt*s) ds``."""
+    s = 2.0 * np.pi / params.domain_length
+    return (-params.nu0_mean * params.nu0_delta * s * z
+            * np.sin(s * (x + 0.5 * vt * z)) * np.sinc(s * vt * z / (2.0 * np.pi)))
+
+
 def collision_frequency(params: ModelParams, x, v):
     """nu(x, v) = nu0(x) <v>^beta (broadcasts over x and v)."""
     return nu0(params, x) * vel_bracket(v) ** params.beta
@@ -374,6 +391,13 @@ def critical_speed(params: ModelParams, eps: float) -> float:
         return math.inf
 
 
+def check_eps(eps: float) -> None:
+    """Raise :class:`ValidationError` unless the scale eps lies in (0, 1]."""
+    if not 0.0 < eps <= 1.0:
+        raise ValidationError(
+            f"parameter constraint violated: eps in (0, 1] (got eps={eps})")
+
+
 def drift(params: ModelParams, eps: float) -> float:
     """Theorem drift j^eps_F: three cases in alpha.
 
@@ -383,7 +407,7 @@ def drift(params: ModelParams, eps: float) -> float:
       cancel exactly (equal tail constant on both sides), leaving 2Aa/3;
     * alpha > 1: the full first moment, 2Aa/3 for the same reason.
     """
-    _require(0.0 < eps <= 1.0, f"eps in (0, 1] (got eps={eps})")
+    check_eps(eps)
     if params.alpha < 1.0:
         return 0.0
     return params.equilibrium_mean

@@ -27,7 +27,7 @@ from scipy.special import zeta as hurwitz_zeta
 
 from .errors import NumericError, ValidationError
 from .grids import DensityField, SpatialGrid
-from .model import ModelParams, nu0
+from .model import ModelParams, nu0, nu0_integral
 
 __all__ = [
     "segment_average_nu0",
@@ -61,9 +61,7 @@ def segment_average_nu0(params: ModelParams, x, y, *, method: str = "closed"):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if method == "closed":
-        s = 2.0 * np.pi / params.domain_length
-        osc = np.cos(0.5 * s * (x + y)) * np.sinc(s * (x - y) / (2.0 * np.pi))
-        return params.nu0_mean * (1.0 + params.nu0_delta * osc)
+        return nu0_integral(params, x, y - x, 1.0)
     if method == "quadrature":
         def one(xa: float, ya: float) -> float:
             val, _ = quad(lambda u: nu0(params, xa + u * (ya - xa)), 0.0, 1.0,
@@ -305,9 +303,9 @@ def solve_macro(op: NonlocalOperator, rho0: DensityField, t_final: float, *,
     if snapshot_times is None:
         snapshot_times = t0 + np.linspace(0.0, t_final, 6)
     times = np.asarray(snapshot_times, dtype=float)
-    if times[0] != t0 or np.any(np.diff(times) <= 0) or times[-1] > t0 + t_final + 1e-12:
-        raise ValidationError("snapshot times must start at rho0.time, increase, "
-                              "and stay within the horizon")
+    if times[0] < t0 or np.any(np.diff(times) <= 0) or times[-1] > t0 + t_final + 1e-12:
+        raise ValidationError("snapshot times must increase within "
+                              "[rho0.time, rho0.time + t_final]")
 
     try:
         lam, vecs = np.linalg.eigh(op.matrix)
@@ -315,10 +313,11 @@ def solve_macro(op: NonlocalOperator, rho0: DensityField, t_final: float, *,
         raise NumericError(
             f"eigendecomposition of the macro operator failed: {exc}") from exc
     coeffs = vecs.T @ rho0.values
-    decay = np.exp(-op.params.kappa * np.outer(times[1:] - t0, lam))
+    start = int(times[0] == t0)   # a snapshot at t0 is rho0 itself, bitwise
+    decay = np.exp(-op.params.kappa * np.outer(times[start:] - t0, lam))
     out = np.empty((times.size, op.grid.nx))
-    out[0] = rho0.values
-    out[1:] = (decay * coeffs) @ vecs.T
+    out[:start] = rho0.values
+    out[start:] = (decay * coeffs) @ vecs.T
     if not np.all(np.isfinite(out)):
         raise NumericError("macro solve produced non-finite values")
     return MacroRun(grid=op.grid, times=times, rho=out)

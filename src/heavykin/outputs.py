@@ -24,12 +24,13 @@ from . import __version__
 from .errors import ConfigError, NumericError, OutputError
 from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid
 from .kinetic_fv import KineticRun, PhaseField
-from .model import ModelParams, coercivity_constant
+from .model import ModelParams
 from .nonlocal_op import MacroRun
 
-__all__ = ["SCHEMA_VERSION", "write_outputs", "write_density_csv",
-           "write_trajectory_csv", "write_table_csv", "write_manifest_json",
-           "write_phase_binary", "read_phase_binary", "write_gnuplot_script"]
+__all__ = ["SCHEMA_VERSION", "FORMATS", "check_formats", "json_text",
+           "write_outputs", "write_density_csv", "write_trajectory_csv",
+           "write_table_csv", "write_manifest_json", "write_phase_binary",
+           "read_phase_binary", "write_gnuplot_script"]
 
 SCHEMA_VERSION = 1
 FORMATS = ("csv", "json", "binary", "gnuplot")
@@ -68,22 +69,43 @@ def _plain(obj):
     return obj
 
 
-def _write_text(path: Path, text: str) -> Path:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
-    return path
-
-
-def _write_bytes(path: Path, blob: bytes) -> Path:
+def _write(path: Path, data: str | bytes) -> Path:
+    """Write text (as UTF-8) or bytes to ``path``, creating its directory."""
+    blob = data.encode("utf-8") if isinstance(data, str) else data
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(blob)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def check_formats(formats, *, phase: bool) -> None:
+    """Raise :class:`ConfigError` unless ``formats`` is a nonempty subset of
+    :data:`FORMATS`, with ``binary`` only for a phase-space result
+    (``phase``) and ``gnuplot`` only beside the ``csv`` its scripts plot."""
+    unknown = [f for f in formats if f not in FORMATS]
+    if unknown:
+        raise ConfigError(f"unknown output format(s): {', '.join(unknown)}")
+    if not formats:
+        raise ConfigError("no output formats requested")
+    if "binary" in formats and not phase:
+        raise ConfigError("binary dumps are reserved for phase-space fields; "
+                          "drop 'binary' from output.formats for this command")
+    if "gnuplot" in formats and "csv" not in formats:
+        raise ConfigError("gnuplot scripts plot the CSV files; add 'csv' to "
+                          "output.formats or drop 'gnuplot'")
+
+
+def json_text(payload) -> str:
+    """Canonical JSON of ``payload``: sorted keys, indent 2; a NaN or
+    infinity raises :class:`NumericError` instead of being written."""
+    try:
+        return json.dumps(_plain(payload), indent=2, sort_keys=True,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"JSON output contains non-finite values: "
+                           f"{exc}") from exc
 
 
 def _csv_text(columns, rows) -> str:
@@ -116,7 +138,7 @@ def write_density_csv(field: DensityField, path) -> Path:
     values = _finite(field.values, "density field")
     rows = [(repr(float(x)), repr(float(r)))
             for x, r in zip(field.grid.centers, values)]
-    return _write_text(Path(path), _csv_text(("x", "rho"), rows))
+    return _write(Path(path), _csv_text(("x", "rho"), rows))
 
 
 def write_trajectory_csv(times, grid: SpatialGrid, rho, path) -> Path:
@@ -127,7 +149,7 @@ def write_trajectory_csv(times, grid: SpatialGrid, rho, path) -> Path:
     for t, slab in zip(times, rho):
         rows.extend((repr(float(t)), repr(float(x)), repr(float(r)))
                     for x, r in zip(grid.centers, slab))
-    return _write_text(Path(path), _csv_text(("time", "x", "rho"), rows))
+    return _write(Path(path), _csv_text(("time", "x", "rho"), rows))
 
 
 def write_table_csv(path, columns, rows) -> Path:
@@ -135,7 +157,7 @@ def write_table_csv(path, columns, rows) -> Path:
     entries are left empty (never silently reordered)."""
     body = [[_cell(row.get(col, ""), f"column {col}") for col in columns]
             for row in rows]
-    return _write_text(Path(path), _csv_text(columns, body))
+    return _write(Path(path), _csv_text(columns, body))
 
 
 def write_manifest_json(payload: dict, path, *, config: dict | None = None) -> Path:
@@ -143,13 +165,9 @@ def write_manifest_json(payload: dict, path, *, config: dict | None = None) -> P
     pass the flat ``config`` mapping to echo the full run description."""
     data = {"schema_version": SCHEMA_VERSION, "version": __version__}
     if config is not None:
-        data["config"] = _plain(config)
-    data.update(_plain(payload))
-    try:
-        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"manifest contains non-finite values: {exc}") from exc
-    return _write_text(Path(path), text + "\n")
+        data["config"] = config
+    data.update(payload)
+    return _write(Path(path), json_text(data) + "\n")
 
 
 def write_phase_binary(fld: PhaseField, path) -> Path:
@@ -160,7 +178,7 @@ def write_phase_binary(fld: PhaseField, path) -> Path:
         _PHASE_MAGIC, SCHEMA_VERSION, fld.xgrid.nx, fld.dvm.vgrid.nv,
         fld.time, fld.dvm.vgrid.vscale, p.alpha, p.beta, p.kappa,
         p.core_asym, p.nu0_mean, p.nu0_delta, p.domain_length)
-    return _write_bytes(Path(path), header + values.astype("<f8").tobytes())
+    return _write(Path(path), header + values.astype("<f8").tobytes())
 
 
 def read_phase_binary(path) -> PhaseField:
@@ -205,7 +223,7 @@ def write_gnuplot_script(path, csv_name: str, *, title: str, xlabel: str,
         lines.append(f"set logscale {logscale}")
     # datafile modifiers are positional: skip must precede using
     lines.append(f'plot "{csv_name}" skip 1 using {using} with {style}')
-    return _write_text(Path(path), "\n".join(lines) + "\n")
+    return _write(Path(path), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +234,6 @@ def write_gnuplot_script(path, csv_name: str, *, title: str, xlabel: str,
 def _density_outputs(field: DensityField, out: Path, formats,
                      config) -> list[Path]:
     written = []
-    if "binary" in formats:
-        raise ConfigError("binary dumps are reserved for phase-space fields; "
-                          "drop 'binary' from output.formats for this command")
     if "csv" in formats:
         written.append(write_density_csv(field, out / "density.csv"))
     if "json" in formats:
@@ -261,9 +276,6 @@ def _phase_outputs(fld: PhaseField, out: Path, formats, config) -> list[Path]:
 
 def _macro_outputs(run: MacroRun, out: Path, formats, config) -> list[Path]:
     written = []
-    if "binary" in formats:
-        raise ConfigError("binary dumps are reserved for phase-space fields; "
-                          "drop 'binary' from output.formats for this command")
     if "csv" in formats:
         written.append(write_trajectory_csv(run.times, run.grid, run.rho,
                                             out / "macro.csv"))
@@ -289,9 +301,7 @@ def _kinetic_outputs(run: KineticRun, out: Path, formats, config) -> list[Path]:
         written.append(write_trajectory_csv(run.times, run.xgrid, run.rho,
                                             out / "kinetic.csv"))
         # fluctuation diagnostic against its a-priori envelope
-        envelope = (coercivity_constant(run.params) * run.f0_norm2
-                    * run.eps ** run.params.gamma)
-        rows = [{"t": float(t), "gnorm2": float(g), "bound": envelope}
+        rows = [{"t": float(t), "gnorm2": float(g), "bound": run.apriori_bound}
                 for t, g in zip(run.times, run.gnorm2)]
         written.append(write_table_csv(out / "gnorm.csv",
                                        ("t", "gnorm2", "bound"), rows))
@@ -327,9 +337,6 @@ def _kinetic_outputs(run: KineticRun, out: Path, formats, config) -> list[Path]:
 
 def _sweep_outputs(report, out: Path, formats) -> list[Path]:
     written = []
-    if "binary" in formats:
-        raise ConfigError("binary dumps are reserved for phase-space fields; "
-                          "drop 'binary' from output.formats for this command")
     if "csv" in formats:
         written.append(write_table_csv(out / "sweep_rows.csv", SWEEP_COLUMNS,
                                        report.rows))
@@ -351,14 +358,10 @@ def write_outputs(obj, out_dir, formats=("csv", "json"), *,
     Accepts a DensityField, PhaseField, KineticRun, MacroRun, or SweepReport;
     returns the written paths.  ``config`` (the flat run-config mapping) is
     echoed into the JSON manifest when given; sweep reports already embed
-    theirs.  Unknown formats and format/kind mismatches raise
-    :class:`ConfigError` rather than being skipped.
+    theirs.  Formats that break :func:`check_formats` raise
+    :class:`ConfigError` before anything is written.
     """
-    unknown = [f for f in formats if f not in FORMATS]
-    if unknown:
-        raise ConfigError(f"unknown output format(s): {', '.join(unknown)}")
-    if not formats:
-        raise ConfigError("no output formats requested")
+    check_formats(formats, phase=isinstance(obj, (PhaseField, KineticRun)))
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -14,6 +14,7 @@ from scipy.special import erfcx
 
 from heavykin import ModelParams, ValidationError
 from heavykin import corrector as co
+from heavykin.model import check_eps
 
 
 def integral_real_line(fn, tol: float = 1e-13) -> float:
@@ -109,7 +110,7 @@ def chi_dt(params: ModelParams, t, x, v, eps: float, phi: co.ProbeFunction,
            *, nodes: int = 64):
     """Time derivative of chi, as the flight average of dphi/dt sampled at
     every arrival point: a route apart from the factored a'(t) <s>."""
-    co._check_eps(eps)
+    check_eps(eps)
     fl = co._flight(params, x, v, eps, nodes)
     return fl.average(phi.dt(t, fl.pts))
 

@@ -378,6 +378,45 @@ def test_cli_macro_solve(tmp_path):
     assert (out / "macro.csv").exists()
 
 
+def test_cli_macro_solve_accepts_kinetic_det_schedule(tmp_path):
+    # snapshots need not include the initial time: any increasing schedule
+    # inside [0, t_final] that kinetic-det takes, macro-solve takes too
+    times = TINY + "experiment.snapshot_times = 0.05, 0.1\n"
+    for command in ("kinetic-det", "macro-solve"):
+        out = tmp_path / command
+        cfg = write_cfg(tmp_path, times + f"output.dir = {out}\n")
+        assert main([command, "--config", cfg, "--quiet"]) == 0
+    macro = json.loads((tmp_path / "macro-solve" / "macro.json").read_text())
+    assert macro["times"] == [0.05, 0.1]
+    full = tmp_path / "full"
+    cfg = write_cfg(tmp_path, TINY + "experiment.snapshot_times = 0, 0.05, 0.1\n"
+                    f"output.dir = {full}\n")
+    assert main(["macro-solve", "--config", cfg, "--quiet"]) == 0
+    np.testing.assert_allclose(
+        json.loads((full / "macro.json").read_text())["energies"][1:],
+        macro["energies"], rtol=1e-13)
+
+
+COMMANDS = ("model-info", "kinetic-det", "kinetic-mc", "chi-check", "kernel",
+            "macro-solve", "limit-check", "sweep", "invariants")
+
+
+@pytest.mark.parametrize("command, formats", [
+    *((c, "csv, binary") for c in COMMANDS if c != "kinetic-det"),
+    *((c, "json, gnuplot") for c in COMMANDS)])
+def test_cli_rejects_unwritable_formats_before_work(tmp_path, capsys, command,
+                                                   formats):
+    # binary dumps hold phase-space snapshots, which only kinetic-det has, and
+    # a gnuplot script plots a CSV file: either mismatch is a config error
+    # raised before the command computes or writes anything
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, TINY.replace("csv, json", formats)
+                    + "experiment.particles = 100\n")
+    assert main([command, "--config", cfg, "--quiet", "--out", str(out)]) == 2
+    assert formats.split(", ")[1] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_kernel(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, TINY + f"output.dir = {out}\n")

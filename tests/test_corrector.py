@@ -88,7 +88,7 @@ def test_hazard_inversion_bracket_and_residual(asym_params, rng):
     z = co._invert_hazard(asym_params, x, vt, u)
     assert np.all(z >= u / asym_params.nu2 - 1e-15)
     assert np.all(z <= u / asym_params.nu1 + 1e-15)
-    resid = co._cumulative_hazard(asym_params, x, vt, z) - u
+    resid = co.nu0_integral(asym_params, x, vt, z) - u
     assert np.max(np.abs(resid) / (1.0 + u)) < 1e-12
 
 
@@ -109,18 +109,18 @@ def test_hazard_inversion_converges_over_admissible_delta(delta, x, vt, nodes):
         assert delta > 0.99
         return
     assert np.all((u / params.nu2 <= z) & (z <= u / params.nu1))
-    resid = co._cumulative_hazard(params, x, vt, z) - u
+    resid = co.nu0_integral(params, x, vt, z) - u
     assert np.all(np.abs(resid) <= 1e-13 * (1.0 + u))
 
 
 def test_hazard_inversion_error_says_where(asym_params, monkeypatch):
     # a hazard that never settles beyond x = 15 exhausts the rounds there
-    hazard = co._cumulative_hazard
+    hazard = co.nu0_integral
 
     def unsettled(params, x, vt, z):
         return np.where(x > 15.0, np.nan, hazard(params, x, vt, z))
 
-    monkeypatch.setattr(co, "_cumulative_hazard", unsettled)
+    monkeypatch.setattr(co, "nu0_integral", unsettled)
     x = np.linspace(0.0, 20.0, 40, endpoint=False)
     nodes = co._laggauss(64)[0].size
     with pytest.raises(NumericError, match=(

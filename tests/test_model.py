@@ -90,6 +90,20 @@ def test_nu0_respects_bounds(params):
     assert np.all(vals <= params.nu2 + 1e-12)
 
 
+@pytest.mark.parametrize("vt", [0.0, 1e-12, -1e-7, 0.3, -2.5, 40.0])
+@pytest.mark.parametrize("x, z", [(0.0, 0.7), (3.1, 2.0), (17.9, 11.5)])
+def test_nu0_line_integrals_match_quadrature(asym_params, x, vt, z):
+    # the closed forms against adaptive quadrature of nu0 and nu0' along the
+    # flight, down to vt*z -> 0, where the sinc form must stay exact
+    from scipy.integrate import quad
+
+    for closed, rate in ((m.nu0_integral, m.nu0), (m.dnu0_integral, m.dnu0)):
+        ref, _ = quad(lambda s: rate(asym_params, x + vt * s), 0.0, z,
+                      epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert float(closed(asym_params, x, vt, z)) == pytest.approx(
+            ref, rel=1e-12, abs=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # equilibrium density
 # ---------------------------------------------------------------------------

@@ -302,7 +302,9 @@ def test_solve_macro_validations():
     with pytest.raises(ValidationError):
         nl.solve_macro(op, rho0, 0.0)
     with pytest.raises(ValidationError):
-        nl.solve_macro(op, rho0, 0.5, snapshot_times=[0.1, 0.5])
+        nl.solve_macro(op, rho0, 0.5, snapshot_times=[-0.1, 0.5])
+    with pytest.raises(ValidationError):
+        nl.solve_macro(op, rho0, 0.5, snapshot_times=[0.3, 0.2])
     with pytest.raises(ValidationError):
         nl.solve_macro(op, rho0, 0.5, snapshot_times=[0.0, 0.9])
 

@@ -9,6 +9,7 @@ processes (on 16 cells, the fewest the macro operator assembles on), one-rung
 `chi-check`s, and `invariants` on the same tiny velocity grids.
 """
 
+import math
 import os
 import tempfile
 import warnings
@@ -63,9 +64,18 @@ def corners(*grid):
     return decorate
 
 
+def _inside(value, lo, hi):
+    """``value``, moved one ulp into the open interval (lo, hi) where
+    rounding put it on or past an end."""
+    return min(max(value, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+
+
 def _model(alpha, beta_frac, kappa_frac):
+    # a tiny fraction rounds beta to -alpha or underflows kappa to 0, which
+    # config validation rejects before the instrument runs
     upper = min(alpha, 2.0 - alpha)
-    return -alpha + beta_frac * (upper + alpha), kappa_frac * alpha / 2.0
+    return (_inside(-alpha + beta_frac * (upper + alpha), -alpha, upper),
+            _inside(kappa_frac * alpha / 2.0, 0.0, alpha / 2.0))
 
 
 def _run(command, alpha, beta, kappa, delta, core_asym, eps, extra, *flags,
