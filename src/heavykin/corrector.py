@@ -37,7 +37,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from numpy.polynomial.laguerre import laggauss
+from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericError, ValidationError
 from .model import (
@@ -291,7 +292,7 @@ def _laggauss(n: int):
     times the bound on its integrand (64 nodes keep 34, 128 keep 48).  The
     arrays are shared by every caller and thread, hence read-only.
     """
-    u, w = np.polynomial.laguerre.laggauss(n)
+    u, w = laggauss(n)
     dropped = np.cumsum((w * (1.0 + u))[::-1])[::-1]   # sum over nodes >= k
     keep = np.count_nonzero(dropped > 2.0**-60)
     u, w = u[:keep].copy(), w[:keep].copy()
@@ -474,7 +475,7 @@ def hazard_weight(params: ModelParams, x, v, eps: float, *, nodes: int = 64):
 
 
 def _legendre_rule(lo: float, hi: float, n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = leggauss(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * nodes, half * weights
 
@@ -541,6 +542,34 @@ def chi_l2_diagnostics(params: ModelParams, phi: ProbeFunction, eps: float, *,
 # ---------------------------------------------------------------------------
 
 
+def _simpson(y, x) -> float:
+    """Composite Simpson rule for samples y at strictly increasing nodes x.
+
+    The rule and operation order of scipy.integrate.simpson (scipy >= 1.11):
+    a parabola through each node triple, and for an even sample count
+    Cartwright's correction over the last interval.
+    """
+    y = np.asarray(y, dtype=float)
+    h = np.diff(np.asarray(x, dtype=float))
+    n = y.size
+    if n == 2:
+        return float(0.5 * h[0] * (y[1] + y[0]))
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    total = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                                 + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                 + y[2:stop + 2:2] * (2.0 - ratio)))
+    if n % 2 == 0:
+        # one-element slices keep scipy's array arithmetic (its power loop)
+        a, b = h[-2:-1], h[-1:]
+        total += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+                  + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
+                  - b ** 3 / (6 * a * (a + b)) * y[-3])[0]
+    return float(total)
+
+
 def _phase_times(run, phi: ProbeFunction) -> np.ndarray:
     if not getattr(run, "phase", None):
         raise ValidationError("kinetic run does not carry phase-space snapshots")
@@ -577,7 +606,7 @@ def corrector_term_qplus(params: ModelParams, eps: float, phi: ProbeFunction,
     vals = np.array([kernel @ run.dvm.moment_beta(run.g_snapshot(i))
                      for i in range(times.size)])
     vals *= run.xgrid.dx * phi.time.value(times)
-    return float(eps ** (-params.gamma) * simpson(vals, x=times))
+    return float(eps ** (-params.gamma) * _simpson(vals, times))
 
 
 def corrector_term_drift_g(params: ModelParams, eps: float, phi: ProbeFunction,
@@ -594,7 +623,7 @@ def corrector_term_drift_g(params: ModelParams, eps: float, phi: ProbeFunction,
     vals = np.array([np.sum((run.g_snapshot(i) * dchi) @ wv)
                      for i in range(times.size)])
     vals *= run.xgrid.dx * phi.time.value(times)
-    return float(eps ** (1.0 - params.gamma) * j * simpson(vals, x=times))
+    return float(eps ** (1.0 - params.gamma) * j * _simpson(vals, times))
 
 
 def corrector_term_drift_rho(params: ModelParams, eps: float,
@@ -614,7 +643,7 @@ def corrector_term_drift_rho(params: ModelParams, eps: float,
     dchi = _dchi_space(phi.space, fl, _dx_rate(params, fl))
     kernel = (dchi - phi.space.d1(run.xgrid.centers)[:, None]) @ fw
     vals = run.xgrid.dx * phi.time.value(times) * (np.asarray(run.rho) @ kernel)
-    return float(eps ** (1.0 - params.gamma) * j * simpson(vals, x=times))
+    return float(eps ** (1.0 - params.gamma) * j * _simpson(vals, times))
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +664,8 @@ def operator_limit_lhs(params: ModelParams, t: float, x: float, eps: float,
     the corrector is assumed anywhere.  ``region="core"`` restricts to
     |v| <= 1, the portion covered by the small-velocity estimate.
     """
+    from scipy.integrate import quad
+
     check_eps(eps)
     if region not in ("full", "core"):
         raise ValidationError("region must be 'full' or 'core'")

@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import NumericError, ValidationError
 from .grids import DensityField, SpatialGrid
@@ -46,7 +47,7 @@ class ParticleEnsemble:
     time: float
     seed: int
     partitions: int
-    streams: list[np.random.Generator] = field(repr=False, default_factory=list)
+    streams: list[Generator] = field(repr=False, default_factory=list)
     collision_count: int = 0
     advance_rounds: int = 0     # most rounds any partition took, last advance
 
@@ -61,9 +62,9 @@ class ParticleEnsemble:
         return [slice(edges[k], edges[k + 1]) for k in range(p)]
 
 
-def _partition_streams(seed: int, partitions: int) -> list[np.random.Generator]:
+def _partition_streams(seed: int, partitions: int) -> list[Generator]:
     return [
-        np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+        Generator(Philox(key=np.array([seed, k], dtype=np.uint64)))
         for k in range(partitions)
     ]
 
@@ -124,7 +125,7 @@ def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
     )
     feq = equilibrium(params)
 
-    def draw(sl: slice, g: np.random.Generator) -> None:
+    def draw(sl: slice, g: Generator) -> None:
         m = sl.stop - sl.start
         if profile == "gaussian":
             ens.positions[sl] = np.mod(c + width * g.standard_normal(m), length)

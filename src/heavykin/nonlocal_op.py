@@ -17,13 +17,11 @@ the operator-limit checks).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
-from scipy.special import zeta as hurwitz_zeta
 
 from .errors import NumericError, ValidationError
 from .grids import DensityField, SpatialGrid
@@ -63,6 +61,8 @@ def segment_average_nu0(params: ModelParams, x, y, *, method: str = "closed"):
     if method == "closed":
         return nu0_integral(params, x, y - x, 1.0)
     if method == "quadrature":
+        from scipy.integrate import quad
+
         def one(xa: float, ya: float) -> float:
             val, _ = quad(lambda u: nu0(params, xa + u * (ya - xa)), 0.0, 1.0,
                           epsabs=1e-13, epsrel=1e-12, limit=100)
@@ -80,7 +80,7 @@ def eta(params: ModelParams, x, y, *, method: str = "closed"):
     """
     g = params.gamma
     nbar = segment_average_nu0(params, x, y, method=method)
-    return (nu0(params, x) * nu0(params, y) * gamma_fn(g + 1.0)
+    return (nu0(params, x) * nu0(params, y) * math.gamma(g + 1.0)
             / nbar ** (g + 1.0))
 
 
@@ -124,6 +124,62 @@ class NonlocalOperator:
         return np.fft.rfft(self.matrix[0]).real
 
 
+# (2k)! / B_2k for k = 1..12, the Euler-Maclaurin divisors of the cephes zeta
+_EM_DIVISORS = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+                -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+                1.1646782814350067249e14, -4.5979787224074726105e15,
+                1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 2.0 ** -53
+
+
+def _hurwitz_zeta(s: float, q) -> np.ndarray:
+    """Hurwitz zeta(s, q) = sum_{k >= 0} (k + q)^-s for scalar s >= 1, q > 0.
+
+    Euler-Maclaurin summation in the order of the cephes routine: nine
+    direct terms, then up to twelve Bernoulli corrections at w = q + 9.  An
+    element stops, as cephes does, once its latest term is below MACHEP of
+    its sum.  s = 1 gives inf without a warning.
+    """
+    q = np.asarray(q, dtype=float)
+    live = np.ones(q.shape, dtype=bool)
+    with np.errstate(divide="ignore"):
+        total = q ** -s
+        w = q
+        for _ in range(9):
+            w = w + 1.0
+            b = w ** -s
+            total = np.where(live, total + b, total)
+            live &= ~(np.abs(b / total) < _MACHEP)
+        total = np.where(live, total + b * w / (s - 1.0), total)
+        total = np.where(live, total - 0.5 * b, total)
+        a, k = 1.0, 0.0
+        for divisor in _EM_DIVISORS:
+            a *= s + k
+            b = b / w
+            t = a * b / divisor
+            total = np.where(live, total + t, total)
+            live &= ~(np.abs(t / total) < _MACHEP)
+            k += 1.0
+            a *= s + k
+            b = b / w
+            k += 1.0
+    return total
+
+
+def _image_tail(g: float, length: float, x: np.ndarray, images: int) -> np.ndarray:
+    """sum_{|m| > images} |x_i - x_j - m L|^(-1-g) for the cell centers x.
+
+    Each side is L^(-1-g) zeta(1 + g, images + 1 -+ d0), d0 = (x_i - x_j) / L.
+    d0 depends only on i - j, so zeta is evaluated on the 2 nx - 1 offsets
+    and gathered into the nx x nx matrix.
+    """
+    d0 = (x - x[0]) / length
+    zeta = _hurwitz_zeta(1.0 + g, images + 1.0 + np.concatenate([-d0[:0:-1], d0]))
+    idx = np.arange(x.size)
+    offset = idx[:, None] - idx[None, :] + x.size - 1
+    return (length ** (-1.0 - g) * (zeta[::-1] + zeta))[offset]
+
+
 def assemble(params: ModelParams, grid: SpatialGrid, images: int = 8) -> NonlocalOperator:
     """Assemble the dense periodized operator matrix.
 
@@ -160,12 +216,9 @@ def assemble(params: ModelParams, grid: SpatialGrid, images: int = 8) -> Nonloca
     # infinite-image completion: for |m| > images the segment average is nubar
     # to O(1/m), so eta is separable and the distance sum is a Hurwitz zeta
     nu_x = nu0(params, x)
-    eta_far = (np.outer(nu_x, nu_x) * gamma_fn(g + 1.0)
+    eta_far = (np.outer(nu_x, nu_x) * math.gamma(g + 1.0)
                * params.nu0_mean ** (-g - 1.0))
-    d0 = (X - Y) / L
-    completion = L ** (-1.0 - g) * (hurwitz_zeta(1.0 + g, images + 1.0 - d0)
-                                    + hurwitz_zeta(1.0 + g, images + 1.0 + d0))
-    coupling += eta_far * completion
+    coupling += eta_far * _image_tail(g, L, x, images)
     coupling *= h
 
     # singular cell |y - x| < h/2: symmetric pairing cancels the odd part and
@@ -221,6 +274,8 @@ def dispersion_constant(gamma: float) -> float:
     """
     if not 0.0 < gamma < 2.0:
         raise ValidationError("parameter constraint violated: 0 < gamma < 2")
+    from scipy.integrate import quad
+
     w0 = 200.0
 
     def versine(w: float) -> float:
@@ -238,7 +293,7 @@ def symbol(params: ModelParams, xi) -> np.ndarray:
     if params.nu0_delta != 0.0:
         raise ValidationError("spectral reference requires a flat rate (delta = 0)")
     g = params.gamma
-    eta_const = gamma_fn(g + 1.0) * params.nu0_mean ** (1.0 - g)
+    eta_const = math.gamma(g + 1.0) * params.nu0_mean ** (1.0 - g)
     return (eta_const / (1.0 - params.beta) * dispersion_constant(g)
             * np.abs(np.asarray(xi, dtype=float)) ** g)
 
@@ -343,6 +398,8 @@ def nonlocal_operator_at(params: ModelParams, phi, t: float, x: float, *,
     This is the oracle the operator-limit diagnostics converge to (times
     kappa).
     """
+    from scipy.integrate import quad
+
     g = params.gamma
     length = params.domain_length
     xarr = np.asarray(x, dtype=float)
@@ -392,7 +449,7 @@ def nonlocal_operator_at(params: ModelParams, phi, t: float, x: float, *,
         tail = 0.0          # constant far field: the pairing vanishes identically
     elif np.abs(outer).max() <= 1e-12 * scale:
         s = 2.0 * np.pi / length
-        tail = (phix * gamma_fn(g + 1.0) * nu0(params, x) * params.nu0_mean ** (-g)
+        tail = (phix * math.gamma(g + 1.0) * nu0(params, x) * params.nu0_mean ** (-g)
                 * 2.0 * (w_end ** (-g) / g
                          + params.nu0_delta * np.cos(s * x) * s**g
                          * _cos_tail_integral(1.0 + g, s * w_end)))

@@ -489,6 +489,34 @@ def _remainders_per_node(params, eps, phi, run):
             float(scale * simpson(dr, x=times)))
 
 
+def test_simpson_equals_scipy_on_sweep_schedules():
+    # the sweep's default schedule: six equally spaced snapshots
+    rng = np.random.default_rng(20)
+    for _ in range(5000):
+        x = np.linspace(0.0, rng.uniform(1e-3, 10.0), 6)
+        y = rng.normal(size=6) * 10.0 ** rng.uniform(-8, 8)
+        assert co._simpson(y, x) == simpson(y, x=x)
+
+
+def test_simpson_matches_scipy_on_random_schedules():
+    rng = np.random.default_rng(21)
+    for n in range(2, 14):
+        for _ in range(200):
+            x = np.cumsum(rng.uniform(1e-3, 1.0, n)) - 0.5
+            y = rng.normal(size=n)
+            want = simpson(y, x=x)
+            assert abs(co._simpson(y, x) - want) <= 1e-15 * abs(want)
+
+
+def test_simpson_cartwright_last_interval_by_hand():
+    # nodes 0, 1, 2, 4: Simpson on [0, 2], then Cartwright's correction
+    # 7/9 y3 + 5/3 y2 - 4/9 y1 on [2, 4] (spacings 1 and 2)
+    x = np.array([0.0, 1.0, 2.0, 4.0])
+    assert co._simpson(x ** 2, x) == pytest.approx(64.0 / 3.0, rel=1e-15)
+    # a cubic is integrated as 4 + 188/3, not exactly (64)
+    assert co._simpson(x ** 3, x) == pytest.approx(200.0 / 3.0, rel=1e-15)
+
+
 def test_remainders_equal_per_node_loop(asym_params):
     # delta = 0.3 with a drift exercises the general dchi/dx branch, FLAT the
     # flat-rate one; forming the t-independent kernels once changes only the
