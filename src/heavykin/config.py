@@ -31,7 +31,7 @@ class RunConfig:
     nv: int = 257
     vmax_policy: float | str = "auto"   # "auto" or explicit outermost speed
     scheme_order: int = 1
-    dt_policy: float | str = "cfl"      # "cfl" (0.9) or explicit Courant fraction
+    dt_policy: float | str = "cfl"      # "cfl" (0.9) or explicit step fraction
     eps_list: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05)
     t_final: float = 0.5
     snapshot_times: tuple[float, ...] | None = None
@@ -43,7 +43,8 @@ class RunConfig:
 
     @property
     def cfl(self) -> float:
-        """The Courant fraction ``dt_policy`` names ("cfl" is 0.9)."""
+        """The fraction of the admissible step ``dt_policy`` names ("cfl"
+        is 0.9); it scales both the CFL step and the collision bound."""
         return 0.9 if self.dt_policy == "cfl" else float(self.dt_policy)
 
 

@@ -19,7 +19,7 @@ class ConfigError(HeavykinError):
 
 
 class NumericError(HeavykinError, ArithmeticError):
-    """A numerical routine failed its contract (CFL violation, divergence, ...)."""
+    """A numerical routine failed its contract (non-finite state, divergence, ...)."""
 
 
 class OutputError(HeavykinError, OSError):

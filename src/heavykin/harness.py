@@ -304,6 +304,8 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
         "drift_g_term": corrector_term_drift_g(cfg.model, eps, phi, run),
         "drift_rho_term": corrector_term_drift_rho(cfg.model, eps, phi, run),
         "steps": run.steps,
+        "dt_max": run.dt_max,
+        "step_bound": run.step_bound,
         # the velocity-grid defects run_kinetic_det warns about; a warning
         # raised in a worker process never reaches the caller
         "tail_mass_loss": run.dvm.tail_mass_loss,

@@ -149,13 +149,18 @@ def _transport_speeds(params: ModelParams, eps: float,
 class _TransportPlan:
     order: int
     courant: float         # dt / dx
-    speeds: np.ndarray     # (nv,)
+    speeds: np.ndarray     # (nv,) the speeds, or where a column moves by
+                           # whole cells, the speeds of its fractional part
     coef: np.ndarray       # (nv,) order 1: Courant numbers c; order 2: the
                            # slope factor 0.5 (1 - |c|), negated where s < 0
     upwind: np.ndarray     # flat indices of each cell's upwind difference
     upwind_f: np.ndarray   # flat indices of each cell's upwind value (order 2)
-    # scratch reused by every step: the padded copies of f and of its
-    # differences, a cell array, the limiter ratio and its mask, the fluxes
+    shift: np.ndarray | None  # flat indices of each cell's value n_j whole
+                              # cells upstream; None if every n_j is 0
+    # scratch reused by every step: the shifted field, the padded copies of f
+    # and of its differences, a cell array, the limiter ratio and its mask,
+    # the fluxes
+    shifted: np.ndarray    # (nx, nv)
     fpad: np.ndarray       # (nx + 3, nv)
     dpad: np.ndarray       # (nx + 2, nv)
     cells: np.ndarray      # (nx, nv)
@@ -172,17 +177,23 @@ def _rows(nx: int, nv: int, shift: np.ndarray) -> np.ndarray:
 
 def _transport_plan(fld: PhaseField, dt: float, eps: float,
                     scheme_order: int) -> _TransportPlan:
-    speeds, smax = _transport_speeds(fld.dvm.params, eps, fld.dvm.vgrid.v)
-    dx = fld.xgrid.dx
-    if smax > 0 and dt > dx / smax * (1.0 + 1e-12):
-        raise NumericError(
-            f"CFL violation in transport: dt={dt:.6g} exceeds admissible "
-            f"dt <= {dx / smax:.6g} (max speed {smax:.6g}, dx {dx:.6g})"
-        )
     if scheme_order not in (1, 2):
         raise ValidationError(f"scheme_order must be 1 or 2 (got {scheme_order})")
+    speeds, _ = _transport_speeds(fld.dvm.params, eps, fld.dvm.vgrid.v)
+    dx = fld.xgrid.dx
     nx, nv = fld.values.shape
     c = speeds * dt / dx
+    # Each column first moves by its whole cells n = trunc(c), an exact
+    # periodic shift, then by the fraction c - n (|c - n| < 1) at the speed
+    # that fraction stands for.  c - n is exact in floating point, so it
+    # keeps the digits of c below its integer part: about 9 at the
+    # |n| <= 1e7 that run_kinetic_det allows.
+    whole = np.trunc(c)
+    shift = None
+    if np.any(whole != 0.0):
+        c = c - whole
+        speeds = np.where(whole == 0.0, speeds, c * (dx / dt))
+        shift = _rows(nx, nv, np.mod(-whole, nx).astype(np.intp)) % (nx * nv)
     # Rows of the padded arrays in transport_apply: dpad row i holds
     # f_i - f_{i-1}, row i + 1 holds f_{i+1} - f_i, row i + 2 f_{i+2} - f_{i+1};
     # fpad row i + 1 holds f_i and row i + 2 holds f_{i+1}.
@@ -195,7 +206,8 @@ def _transport_plan(fld: PhaseField, dt: float, eps: float,
         coef = np.where(left == 1, -limiter, limiter)
         upwind, upwind_f = _rows(nx, nv, 2 * left), _rows(nx, nv, 1 + left)
     return _TransportPlan(
-        scheme_order, dt / dx, speeds, coef, upwind, upwind_f,
+        scheme_order, dt / dx, speeds, coef, upwind, upwind_f, shift,
+        shifted=np.empty((nx, nv)),
         fpad=np.empty((nx + 3, nv)), dpad=np.empty((nx + 2, nv)),
         cells=np.empty((nx, nv)), ratio=np.empty((nx, nv)),
         nonzero=np.empty((nx, nv), dtype=bool), flux=np.empty((nx + 1, nv)))
@@ -205,16 +217,24 @@ def transport_apply(fld: PhaseField, dt: float, eps: float,
                     scheme_order: int = 1) -> PhaseField:
     """Periodic transport at per-column speed eps^(1-gamma) (v_j - j_eps).
 
-    scheme_order 1 is donor-cell upwind; 2 is MUSCL with the minmod limiter
-    (TVD, positivity-preserving at CFL <= 1).  Column mass is conserved by
-    telescoping fluxes in either case.  The speeds, the CFL check, the
-    Courant numbers and each column's upwind side are fixed by
-    (dt, eps, scheme_order) and built once per field; a step gathers every
-    cell's upwind values and evaluates one flux formula.
+    Each column moves by the whole cells of its Courant number c = s dt/dx
+    as an exact periodic shift, then by the fraction of a cell left over:
+    by donor-cell upwind (scheme_order 1) or MUSCL with the minmod limiter
+    (scheme_order 2), both TVD and positivity-preserving at a fraction below
+    one.  This is flux-form semi-Lagrangian transport: mass-exact and
+    positive for any dt, column by column.  The speeds, the whole-cell
+    shifts, the fractional Courant numbers and each column's upwind side
+    are fixed by (dt, eps, scheme_order) and built once per field; a step
+    gathers the shifted field (skipped where every column moves less than a
+    cell), gathers every cell's upwind values and evaluates one flux
+    formula.
     """
     plan = _plan(fld, "transport", (dt, eps, scheme_order),
                  lambda: _transport_plan(fld, dt, eps, scheme_order))
     f = fld.values
+    if plan.shift is not None:
+        f = plan.shifted
+        np.take(fld.values, plan.shift, out=f.reshape(-1), mode="clip")
     nx = f.shape[0]
     # periodic padding: fpad row r holds f_{r-1}, dpad row r f_r - f_{r-1}
     fpad = np.concatenate((f[-1:], f, f[:2]), axis=0, out=plan.fpad)
@@ -250,8 +270,19 @@ def transport_apply(fld: PhaseField, dt: float, eps: float,
 
 # A run needing more CFL-bound steps than this has a velocity grid far wider
 # than its spatial grid can follow (the tail-mass vmax as alpha -> 0); it
-# fails at once instead of running for days.
+# fails at once.  A step may be longer than the CFL step, but this bound
+# keeps each half step's whole-cell shift |n| <= 1e7 cfl, so the fractional
+# Courant numbers keep about 9 digits.
 _MAX_STEPS = 10**7
+
+# The largest collision number dt nu2 / eps^gamma of a step at cfl = 1.
+# Strang splitting with a backward-Euler collision is not
+# asymptotic-preserving, so the step must stay a fixed fraction of the
+# collision time eps^gamma / nu2 however fast the transport could go.  On
+# the 48x49 degenerate sweep and the 128x129 particle reference, a
+# collision number of 0.05 keeps every verdict; 0.1 loses the sweep's
+# macro-convergence and puts the particle check at 3.15 SE.
+_COLLISION_NUMBER = 1.0 / 40.0
 
 
 def auto_vscale(params: ModelParams, nv: int, eps_min: float,
@@ -292,6 +323,7 @@ class KineticRun:
     phase: list[np.ndarray] = field(default_factory=list)  # [] unless stored
     wall_time: float = 0.0
     steps: int = 0                      # Strang steps taken
+    step_bound: str = "cfl"             # what sets dt_max: "cfl" or "collision"
 
     @property
     def apriori_bound(self) -> float:
@@ -315,7 +347,10 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
                     store_phase: bool = False) -> KineticRun:
     """Strang-split (transport/collision/transport) run up to t_final.
 
-    Snapshot times are landed on exactly by shortening steps.  Emits a warning
+    The step is the longer of the CFL step 2 dx / smax and the collision
+    bound eps^gamma / (40 nu2), both times ``cfl``; transport takes any
+    step, so the bound only keeps the splitting accurate.  Snapshot times
+    are landed on exactly by shortening steps.  Emits a warning
     with the quantified tail-mass loss when the velocity grid misses either
     the critical scale eps^(-1/(1-beta)) or the 1e-3 tail-mass budget.
     """
@@ -358,12 +393,17 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
     fld = PhaseField.from_density(xgrid, dvm, np.asarray(rho0, dtype=float))
 
     _, smax = _transport_speeds(params, eps, vgrid.v)
-    # The CFL constraint applies to the half-step of length dt/2.
-    dt_max = 2.0 * cfl * xgrid.dx / smax if smax > 0 else t_final
-    if not snap[-1] <= _MAX_STEPS * dt_max:
+    # The CFL step applies to the half-step of length dt/2.  Transport is
+    # stable at any step, so the longer of the CFL step and the collision
+    # bound sets the step; cfl scales both.
+    cfl_dt = 2.0 * cfl * xgrid.dx / smax if smax > 0 else t_final
+    collision_dt = cfl * _COLLISION_NUMBER * eps**params.gamma / params.nu2
+    dt_max, step_bound = ((cfl_dt, "cfl") if cfl_dt >= collision_dt
+                          else (collision_dt, "collision"))
+    if not snap[-1] <= _MAX_STEPS * cfl_dt:
         raise NumericError(
             f"reaching t={snap[-1]:.6g} takes more than {_MAX_STEPS:.0e} steps "
-            f"of dt <= {dt_max:.3g} (max speed {smax:.3g}); the velocity grid "
+            f"of dt <= {cfl_dt:.3g} (max speed {smax:.3g}); the velocity grid "
             f"(vmax {vgrid.vmax:.3g}) is too wide for dx = {xgrid.dx:.3g}")
 
     started = _time.perf_counter()
@@ -414,7 +454,7 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
 
     return KineticRun(
         params=params, eps=eps, xgrid=xgrid, dvm=dvm,
-        scheme_order=scheme_order, dt_max=dt_max,
+        scheme_order=scheme_order, dt_max=dt_max, step_bound=step_bound,
         times=np.asarray(times), rho=np.asarray(rhos),
         gnorm2=np.asarray(gnorms), mass=np.asarray(masses),
         f0_norm2=f0_norm2, rho_l2=np.asarray(rhol2),

@@ -318,6 +318,7 @@ def _kinetic_outputs(run: KineticRun, out: Path, formats, config) -> list[Path]:
             "rho_l2": run.rho_l2,
             "f0_norm2": run.f0_norm2,
             "dt_max": run.dt_max,
+            "step_bound": run.step_bound,
             "wall_time": run.wall_time,
         }, out / "kinetic.json", config=config))
     if "binary" in formats:

@@ -313,6 +313,8 @@ def test_cli_kinetic_det_writes_outputs(tmp_path, capsys):
     assert manifest["config"]["model.alpha"] == 1.5
     assert manifest["config"]["discretization.nx"] == 32
     assert manifest["config"]["experiment.eps_list"] == [0.4, 0.2]
+    assert manifest["step_bound"] in ("cfl", "collision")
+    assert manifest["dt_max"] > 0
 
 
 def test_cli_kinetic_det_gnorm_diagnostic(tmp_path):

@@ -24,7 +24,7 @@ from heavykin.grids import DiscreteModel, SpatialGrid, VelocityGrid
 from heavykin.harness import (build_grids, check_apriori, check_coercivity,
                               check_correctors, mc_cross_check,
                               probe_from_choice, run_sweep)
-from heavykin.kinetic_fv import KineticRun, auto_vscale
+from heavykin.kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from heavykin.kinetic_mc import (advance, density_standard_error,
                                  estimate_density, init_ensemble)
 from heavykin.model import ModelParams, critical_speed
@@ -194,10 +194,13 @@ def test_rows_carry_steps_and_velocity_grid_defects(small_cfg, small_report):
     bare = json.loads(small_report.to_json(drop_wall_times=True))["rows"]
     for row, kept, run in zip(small_report.rows, bare, small_report.runs):
         assert row["steps"] == run.steps > 0
+        assert row["dt_max"] == run.dt_max > 0
+        assert row["step_bound"] == run.step_bound
         assert row["tail_mass_loss"] == run.dvm.tail_mass_loss
         assert row["vmax_over_critical"] == \
             run.dvm.vgrid.vmax / critical_speed(small_cfg.model, row["eps"])
-        assert {"steps", "tail_mass_loss", "vmax_over_critical"} <= set(kept)
+        assert {"steps", "dt_max", "step_bound", "tail_mass_loss",
+                "vmax_over_critical"} <= set(kept)
     # smaller eps: more steps (faster transport), a larger critical speed
     assert [r["steps"] for r in small_report.rows] == \
         sorted(r["steps"] for r in small_report.rows)
@@ -507,6 +510,25 @@ def test_mc_cross_check_reuses_det_run(small_cfg, small_report):
     assert verdict.metrics["bins"] == 64
     assert verdict.metrics["max_z"] < 3.0
     assert verdict.metrics["empty_bins"] == 0
+
+
+def test_mc_cross_check_modulated_rate():
+    # delta > 0 couples the Fourier modes, so the particle twin is the
+    # judge of the (collision-bound) grid solver.  A coarser grid would not
+    # do: on 64 cells the finite-volume defect alone gives mean z^2 ~ 1.7
+    params = ModelParams(alpha=1.5, beta=0.25, kappa=0.2, core_asym=0.5,
+                         nu0_delta=0.3)
+    eps, nv = 0.2, 257
+    det = run_kinetic_det(
+        params, eps, xgrid=SpatialGrid(256, params.domain_length),
+        vgrid=VelocityGrid(nv, auto_vscale(params, nv, eps, tail_target=1e-4)),
+        t_final=0.5, scheme_order=2)
+    assert det.step_bound == "collision"
+    cfg = dataclasses.replace(default_config(), model=params,
+                              particles=200_000, seed=1, t_final=0.5)
+    verdict = mc_cross_check(cfg, det)
+    assert verdict.passed and verdict.metrics["empty_bins"] == 0
+    assert verdict.metrics["max_z"] <= 3.0
 
 
 def test_mc_cross_check_empty_bins(small_cfg, small_report):

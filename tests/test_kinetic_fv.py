@@ -121,12 +121,6 @@ def test_transport_conserves_column_mass(asym_params, rng, order):
     assert np.allclose(fld.values.sum(axis=0), before, rtol=1e-13, atol=1e-13)
 
 
-def test_transport_cfl_violation_names_admissible_dt(asym_params):
-    fld = make_field(asym_params)
-    with pytest.raises(NumericError, match="admissible"):
-        transport_apply(fld, dt=10.0, eps=0.5)
-
-
 def test_muscl_full_period_translation():
     # One velocity column advected around the torus returns near its start.
     params = ModelParams(alpha=1.5, beta=0.0, kappa=0.2)
@@ -206,6 +200,38 @@ def _collision_once(f, fld, dt, eps):
 
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("courant", [3.4, -2.7])
+@pytest.mark.parametrize("order", [1, 2])
+def test_transport_beyond_cfl_shifts_whole_cells(asym_params, rng, courant,
+                                                 order):
+    # a step past the CFL limit is the exact periodic shift by each column's
+    # whole cells, then the one-cell stencil at the fraction left over
+    eps = 0.5
+    fld = make_field(asym_params)
+    f = rng.random(fld.values.shape)
+    fld.values = f.copy()
+    dx = fld.xgrid.dx
+    speeds = eps ** (1.0 - asym_params.gamma) * (
+        fld.dvm.vgrid.v - m.drift(asym_params, eps))
+    # the fastest column of the sign of `courant` moves `courant` cells
+    fastest = np.max(speeds) if courant > 0 else np.min(speeds)
+    dt = courant * dx / fastest
+    c = speeds * dt / dx
+    whole = np.trunc(c)
+    assert np.max(np.abs(c)) > 2.0 and np.any(whole > 0) and np.any(whole < 0)
+    shifted = np.stack([np.roll(f[:, j], int(n)) for j, n in enumerate(whole)],
+                       axis=1)
+    frac = c - whole
+    expected = (_upwind_once(shifted, frac) if order == 1
+                else _muscl_once(shifted, frac * dx / dt, dt, dx))
+
+    transport_apply(fld, dt, eps, scheme_order=order)
+    assert np.max(np.abs(fld.values - expected)) <= 1e-14 * np.max(expected)
+    assert np.allclose(fld.values.sum(axis=0), f.sum(axis=0),
+                       rtol=1e-13, atol=0.0)
+    assert np.min(fld.values) >= -1e-15
 
 
 @pytest.mark.parametrize("core_asym", [0.5, 0.0])  # drift 0.12 and drift 0
@@ -381,6 +407,50 @@ def test_run_refuses_endless_cfl_run():
     params = ModelParams(alpha=0.05, beta=0.0, kappa=0.02)
     with pytest.raises(NumericError, match="1e\\+07 steps"):
         small_run(params, eps=0.4, nx=8, nv=9)
+
+
+def _degenerate_run():
+    params = ModelParams(alpha=0.8, beta=0.25, kappa=0.2, core_asym=0.5,
+                         nu0_delta=0.3)
+    return small_run(params, eps=0.2, nx=48, nv=49, t_final=0.5)
+
+
+def test_collision_bound_step_self_convergence(monkeypatch):
+    # the tail columns make the CFL step 11x shorter than the collision
+    # bound here; halving the bound must converge to the CFL-bound run
+    monkeypatch.setattr(kfv, "_COLLISION_NUMBER", 0.0)
+    reference = _degenerate_run()
+    assert reference.step_bound == "cfl"
+    dx = reference.xgrid.dx
+    errors = []
+    for number in (1 / 40, 1 / 80, 1 / 160):
+        monkeypatch.setattr(kfv, "_COLLISION_NUMBER", number)
+        run = _degenerate_run()
+        assert run.step_bound == "collision"
+        assert run.dt_max == pytest.approx(
+            0.9 * number * 0.2 ** run.params.gamma / run.params.nu2, rel=1e-15)
+        assert run.steps < reference.steps
+        errors.append(math.sqrt(dx * np.sum((run.rho[-1]
+                                             - reference.rho[-1]) ** 2)))
+    assert errors[0] < 1e-3
+    assert errors[0] >= 1.8 * errors[1] and errors[1] >= 1.8 * errors[2]
+
+
+def test_cfl_bound_run_ignores_collision_bound(monkeypatch):
+    # where the CFL step is the longer one it is the step, bit for bit
+    params = ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.5)
+    eps, cfl = 0.3, 0.7
+    run = small_run(params, eps=eps, nx=32, nv=33, t_final=0.1, cfl=cfl)
+    smax = np.max(np.abs(eps ** (1.0 - params.gamma)
+                         * (run.dvm.vgrid.v - m.drift(params, eps))))
+    assert run.step_bound == "cfl"
+    assert run.dt_max == 2.0 * cfl * run.xgrid.dx / smax
+    assert run.dt_max > (cfl * kfv._COLLISION_NUMBER * eps ** params.gamma
+                         / params.nu2)
+    monkeypatch.setattr(kfv, "_COLLISION_NUMBER", 0.0)
+    bare = small_run(params, eps=eps, nx=32, nv=33, t_final=0.1, cfl=cfl)
+    assert bare.dt_max == run.dt_max and bare.steps == run.steps
+    assert _same_bits(bare.rho, run.rho)
 
 
 def test_auto_vscale_overflow_is_typed():
