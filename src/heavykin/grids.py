@@ -17,6 +17,7 @@ __all__ = [
     "DiscreteModel",
     "DensityField",
     "periodized_gaussian",
+    "snapshot_schedule",
 ]
 
 _SQRT_2PI = float(np.sqrt(2.0 * np.pi))
@@ -64,7 +65,7 @@ class VelocityGrid:
 
     def __post_init__(self) -> None:
         if self.nv < 9 or self.nv % 2 == 0:
-            raise ValidationError(f"nv must be odd and >= 9 (got nv={self.nv})")
+            raise ValidationError(f"need nv odd and >= 9 (got nv={self.nv})")
         if not self.vscale > 0:
             raise ValidationError(f"vscale must be positive (got {self.vscale})")
 
@@ -192,3 +193,19 @@ def periodized_gaussian(grid: SpatialGrid, center: float | None = None,
     out /= _SQRT_2PI * width
     out /= np.sum(out) * grid.dx
     return out
+
+
+def snapshot_schedule(t_final: float, snapshot_times=None, t0: float = 0.0) -> np.ndarray:
+    """Snapshot times over ``t_final`` > 0 from ``t0``: six equal steps, or the
+    given times, which must increase strictly within [t0, t0 + t_final]."""
+    if not t_final > 0:
+        raise ValidationError(f"parameter constraint violated: t_final > 0 (got {t_final})")
+    if snapshot_times is None:
+        return t0 + np.linspace(0.0, t_final, 6)
+    times = np.asarray(snapshot_times, dtype=float)
+    if not (times.ndim == 1 and times.size > 0 and times[0] >= t0
+            and times[-1] <= t0 + t_final and np.all(np.diff(times) > 0)):
+        raise ValidationError(
+            "parameter constraint violated: snapshot times strictly increasing "
+            f"within [{t0:g}, {t0 + t_final:g}] (got {times.tolist()})")
+    return times

@@ -25,12 +25,12 @@ from .corrector import (ProbeFunction, constant_probe, corrector_term_drift_g,
                         gaussian_packet, modulated_packet)
 from .errors import HeavykinError, NumericError, ValidationError
 from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid, \
-    periodized_gaussian
+    periodized_gaussian, snapshot_schedule
 from .kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from .kinetic_mc import advance, density_standard_error, estimate_density, \
     init_ensemble
-from .model import ModelParams, coercivity_constant, critical_speed, drift, \
-    nu0
+from .model import ModelParams, check_eps_ladder, coercivity_constant, \
+    critical_speed, nu0
 from .nonlocal_op import assemble, solve_macro
 from .outputs import _plain, json_text
 
@@ -253,9 +253,7 @@ def check_correctors(rows: list[dict], params: ModelParams) -> Verdict:
     """
     if len(rows) < 3:
         raise ValidationError("slope estimation needs at least 3 eps values")
-    eps = np.array([row["eps"] for row in rows], dtype=float)
-    if not np.all(np.diff(eps) < 0):
-        raise ValidationError("rows must be ordered by strictly decreasing eps")
+    eps = np.array(check_eps_ladder([row["eps"] for row in rows]))
     exponents = _remainder_exponents(params)
     names = ("qplus", "drift_g", "drift_rho")
 
@@ -300,9 +298,9 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
     row = {
         "eps": eps,
         "mass_err": float(np.max(np.abs(np.asarray(run.mass) - 1.0))),
-        "qplus_term": corrector_term_qplus(cfg.model, eps, phi, run),
-        "drift_g_term": corrector_term_drift_g(cfg.model, eps, phi, run),
-        "drift_rho_term": corrector_term_drift_rho(cfg.model, eps, phi, run),
+        "qplus_term": corrector_term_qplus(phi, run),
+        "drift_g_term": corrector_term_drift_g(phi, run),
+        "drift_rho_term": corrector_term_drift_rho(phi, run),
         "steps": run.steps,
         "dt_max": run.dt_max,
         "step_bound": run.step_bound,
@@ -392,12 +390,8 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
     regardless.  A rung failing with a HeavykinError becomes an error row;
     any other exception reaches the caller with its own type.
     """
-    eps_list = [float(e) for e in cfg.eps_list]
-    if len(eps_list) != len(set(eps_list)) or \
-            any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValidationError("eps list must be strictly decreasing")
-    if cfg.snapshot_times is not None and \
-            abs(cfg.snapshot_times[-1] - cfg.t_final) > 1e-12:
+    eps_list = check_eps_ladder(cfg.eps_list)
+    if snapshot_schedule(cfg.t_final, cfg.snapshot_times)[-1] < cfg.t_final - 1e-12:
         raise ValidationError("snapshot_times must end at t_final for the "
                               "terminal comparison")
     if threads < 1:

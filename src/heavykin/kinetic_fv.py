@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid, periodized_gaussian
+from .grids import (DensityField, DiscreteModel, SpatialGrid, VelocityGrid,
+                    periodized_gaussian, snapshot_schedule)
 from .model import (ModelParams, check_eps, coercivity_constant,
                     critical_speed, drift, nu0)
 
@@ -31,6 +32,8 @@ __all__ = [
     "transport_apply",
     "run_kinetic_det",
     "auto_vscale",
+    "check_scheme_order",
+    "check_courant",
 ]
 
 
@@ -175,10 +178,15 @@ def _rows(nx: int, nv: int, shift: np.ndarray) -> np.ndarray:
             + np.arange(nv)[None, :]).ravel()
 
 
-def _transport_plan(fld: PhaseField, dt: float, eps: float,
-                    scheme_order: int) -> _TransportPlan:
+def check_scheme_order(scheme_order: int) -> None:
+    """Raise :class:`ValidationError` unless the order is 1 or 2."""
     if scheme_order not in (1, 2):
         raise ValidationError(f"scheme_order must be 1 or 2 (got {scheme_order})")
+
+
+def _transport_plan(fld: PhaseField, dt: float, eps: float,
+                    scheme_order: int) -> _TransportPlan:
+    check_scheme_order(scheme_order)
     speeds, _ = _transport_speeds(fld.dvm.params, eps, fld.dvm.vgrid.v)
     dx = fld.xgrid.dx
     nx, nv = fld.values.shape
@@ -285,6 +293,12 @@ _MAX_STEPS = 10**7
 _COLLISION_NUMBER = 1.0 / 40.0
 
 
+def check_courant(cfl: float) -> None:
+    """Raise :class:`ValidationError` unless ``cfl`` lies in (0, 1]."""
+    if not 0.0 < cfl <= 1.0:
+        raise ValidationError(f"cfl must lie in (0, 1] (got {cfl})")
+
+
 def auto_vscale(params: ModelParams, nv: int, eps_min: float,
                 tail_target: float = 1e-3) -> float:
     """Velocity-grid scale so the outermost node covers both the critical
@@ -349,16 +363,14 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
 
     The step is the longer of the CFL step 2 dx / smax and the collision
     bound eps^gamma / (40 nu2), both times ``cfl``; transport takes any
-    step, so the bound only keeps the splitting accurate.  Snapshot times
-    are landed on exactly by shortening steps.  Emits a warning
+    step, so the bound only keeps the splitting accurate.  Steps shorten to
+    land on each time of ``snapshot_schedule``.  Emits a warning
     with the quantified tail-mass loss when the velocity grid misses either
     the critical scale eps^(-1/(1-beta)) or the 1e-3 tail-mass budget.
     """
     check_eps(eps)
-    if not t_final > 0:
-        raise ValidationError(f"t_final must be positive (got {t_final})")
-    if not 0.0 < cfl <= 1.0:
-        raise ValidationError(f"cfl must lie in (0, 1] (got {cfl})")
+    check_courant(cfl)
+    snap = snapshot_schedule(t_final, snapshot_times)
 
     dvm = DiscreteModel(params, vgrid)
     # the deviation norms weight by w/f_eq and w<v>^beta/f_eq; an f_eq
@@ -381,12 +393,6 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
             "results carry the quoted tail defect",
             stacklevel=2,
         )
-
-    if snapshot_times is None:
-        snapshot_times = np.linspace(0.0, t_final, 6)
-    snap = np.asarray(sorted(set(float(t) for t in snapshot_times)))
-    if snap.size == 0 or snap[0] < 0 or snap[-1] > t_final * (1 + 1e-12):
-        raise ValidationError("snapshot times must lie within [0, t_final]")
 
     if rho0 is None:
         rho0 = periodized_gaussian(xgrid)
@@ -433,23 +439,18 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
 
     f0_norm2 = fld.fnorm2_finv()
     t = 0.0
-    if snap[0] == 0.0:
-        record()
-        remaining = snap[1:]
-    else:
-        remaining = snap
-
-    for target in remaining:
-        span = target - t
-        nsteps = max(1, math.ceil(span / dt_max - 1e-12))
-        h = span / nsteps
-        for _ in range(nsteps):
-            transport_apply(fld, 0.5 * h, eps, scheme_order)
-            collision_apply(fld, h, eps)
-            transport_apply(fld, 0.5 * h, eps, scheme_order)
-        steps += nsteps
-        t = target
-        fld.time = t  # suppress roundoff drift in the time stamp
+    for target in snap:
+        if target > t:   # a snapshot at t = 0 takes no step
+            span = target - t
+            nsteps = max(1, math.ceil(span / dt_max - 1e-12))
+            h = span / nsteps
+            for _ in range(nsteps):
+                transport_apply(fld, 0.5 * h, eps, scheme_order)
+                collision_apply(fld, h, eps)
+                transport_apply(fld, 0.5 * h, eps, scheme_order)
+            steps += nsteps
+            t = target
+            fld.time = t  # suppress roundoff drift in the time stamp
         record()
 
     return KineticRun(

@@ -93,14 +93,14 @@ def _pool_map(fn, tasks: list) -> list:
 
 
 def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
-                  profile: str = "gaussian", center: float | None = None,
-                  width: float = 1.0, partitions: int = 8) -> ParticleEnsemble:
+                  profile: str = "gaussian", partitions: int = 8) -> ParticleEnsemble:
     """Draw (x, v) ~ rho0(x) F(v) i.i.d.
 
-    rho0 is the wrapped Gaussian (exact periodization: wrap a normal draw) or
-    the uniform profile.  Partition streams are created here and consumed by
-    advance in a fixed order.  A velocity draw past the double range (tail
-    exponents near 0) raises :class:`NumericError`.
+    rho0 is ``periodized_gaussian``'s unit Gaussian at L/2 (exact
+    periodization: wrap a normal draw) or the uniform profile.  Partition
+    streams are created here and consumed by advance in a fixed order.  A
+    velocity draw past the double range (tail exponents near 0) raises
+    :class:`NumericError`.
     """
     if n < 1:
         raise ValidationError(f"need at least one particle (got n={n})")
@@ -108,11 +108,8 @@ def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
         raise ValidationError(f"partitions must lie in [1, n] (got {partitions})")
     if profile not in ("gaussian", "uniform"):
         raise ValidationError(f"unknown initial profile {profile!r}")
-    if width <= 0:
-        raise ValidationError(f"profile width must be positive (got {width})")
 
     length = params.domain_length
-    c = 0.5 * length if center is None else center
     streams = _partition_streams(seed, partitions)
     ens = ParticleEnsemble(
         params=params,
@@ -128,7 +125,7 @@ def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
     def draw(sl: slice, g: Generator) -> None:
         m = sl.stop - sl.start
         if profile == "gaussian":
-            ens.positions[sl] = np.mod(c + width * g.standard_normal(m), length)
+            ens.positions[sl] = np.mod(0.5 * length + g.standard_normal(m), length)
         else:
             ens.positions[sl] = g.random(m) * length
         with np.errstate(over="ignore"):   # counted below
@@ -266,8 +263,6 @@ def _finite_peak(rate, rounds: int, t: np.ndarray) -> float:
 
 def estimate_density(ens: ParticleEnsemble, nx: int) -> DensityField:
     """Histogram estimate of rho(x), normalized to unit mass (exact by count)."""
-    if nx < 2:
-        raise ValidationError(f"need nx >= 2 bins (got {nx})")
     grid = SpatialGrid(nx=nx, length=ens.params.domain_length)
     counts, _ = np.histogram(ens.positions, bins=nx,
                              range=(0.0, ens.params.domain_length))

@@ -47,6 +47,7 @@ __all__ = [
     "cross_section_b",
     "critical_speed",
     "check_eps",
+    "check_eps_ladder",
     "drift",
     "coercivity_constant",
     "coercivity_functional",
@@ -89,16 +90,11 @@ class ModelParams:
     domain_length: float = 20.0
 
     def __post_init__(self) -> None:
-        _require(self.alpha > 0, f"alpha > 0 (got alpha={self.alpha})")
+        gamma_exponent(self.alpha, self.beta)   # alpha > 0, beta < min(...)
         _require(self.kappa > 0, f"kappa > 0 (got kappa={self.kappa})")
         _require(
             self.kappa < self.alpha / 2,
             f"kappa < alpha/2 (got kappa={self.kappa}, alpha/2={self.alpha / 2})",
-        )
-        _require(
-            self.beta < min(self.alpha, 2.0 - self.alpha),
-            "beta < min(alpha, 2 - alpha) "
-            f"(got beta={self.beta}, min={min(self.alpha, 2.0 - self.alpha)})",
         )
         _require(
             self.beta > -self.alpha,
@@ -396,6 +392,17 @@ def check_eps(eps: float) -> None:
     if not 0.0 < eps <= 1.0:
         raise ValidationError(
             f"parameter constraint violated: eps in (0, 1] (got eps={eps})")
+
+
+def check_eps_ladder(eps_list) -> list[float]:
+    """``eps_list`` as floats; raises unless non-empty, in (0, 1], strictly decreasing."""
+    ladder = [float(e) for e in eps_list]
+    for eps in ladder:
+        check_eps(eps)
+    if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ValidationError("parameter constraint violated: eps ladder "
+                              f"non-empty and strictly decreasing (got {ladder})")
+    return ladder
 
 
 def drift(params: ModelParams, eps: float) -> float:

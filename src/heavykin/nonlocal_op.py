@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .grids import DensityField, SpatialGrid
+from .grids import DensityField, SpatialGrid, snapshot_schedule
 from .model import ModelParams, nu0, nu0_integral
 
 __all__ = [
@@ -303,8 +303,6 @@ def fourier_reference(params: ModelParams, rho0: DensityField, t_final: float) -
 
     Valid only when nu0 is flat (the kernel is then translation invariant).
     """
-    if params.nu0_delta != 0.0:
-        raise ValidationError("spectral reference requires a flat rate (delta = 0)")
     if t_final < 0:
         raise ValidationError("parameter constraint violated: t_final >= 0")
     if t_final == 0.0:
@@ -346,21 +344,15 @@ def solve_macro(op: NonlocalOperator, rho0: DensityField, t_final: float, *,
                 snapshot_times=None) -> MacroRun:
     """Exact evolution of d_t rho = -kappa A rho in the eigenbasis of A.
 
-    A is symmetric, so A = V diag(lam) V^T and every snapshot is
-    rho(t_k) = V exp(-kappa lam (t_k - t0)) V^T rho0, with no time-step
-    error; the only approximation left is the spatial one inside A.
+    A is symmetric, so A = V diag(lam) V^T and at each t_k of
+    ``snapshot_schedule`` from t0 = rho0.time the density is rho(t_k) =
+    V exp(-kappa lam (t_k - t0)) V^T rho0, with no time-step error; the only
+    approximation left is the spatial one inside A.
     """
     if rho0.grid.nx != op.grid.nx:
         raise ValidationError("initial density lives on a different grid")
-    if not t_final > 0:
-        raise ValidationError("parameter constraint violated: t_final > 0")
     t0 = rho0.time
-    if snapshot_times is None:
-        snapshot_times = t0 + np.linspace(0.0, t_final, 6)
-    times = np.asarray(snapshot_times, dtype=float)
-    if times[0] < t0 or np.any(np.diff(times) <= 0) or times[-1] > t0 + t_final + 1e-12:
-        raise ValidationError("snapshot times must increase within "
-                              "[rho0.time, rho0.time + t_final]")
+    times = snapshot_schedule(t_final, snapshot_times, t0)
 
     try:
         lam, vecs = np.linalg.eigh(op.matrix)

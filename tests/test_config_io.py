@@ -501,6 +501,18 @@ def test_cli_chi_check(tmp_path, capsys):
     assert len(lines) == 2
 
 
+@pytest.mark.parametrize("command", ["chi-check", "limit-check"])
+def test_cli_ladder_checks_reject_ascending_eps(tmp_path, capsys, command):
+    # both commands judge a decrease along the ladder; an ascending list is
+    # a config error before any work, not a verdict on reversed data
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, TINY.replace("0.4, 0.2", "0.1, 0.2, 0.4")
+                    + f"output.dir = {out}\n")
+    assert main([command, "--config", cfg, "--quiet"]) == 2
+    assert "experiment.eps_list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_chi_check_bounds_time_derivative_ratio(tmp_path, capsys,
                                                     monkeypatch):
     # criterion 05 bounds both ratios: a d/dt ratio above nu2/nu1 alone must

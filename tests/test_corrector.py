@@ -415,18 +415,18 @@ def test_qplus_zero_when_g_zero():
     # g is recomputed from the stored f, so "zero" means machine zero
     run = _equilibrium_run(FLAT, eps=0.3)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
-    assert abs(co.corrector_term_qplus(FLAT, 0.3, phi, run)) < 1e-15
+    assert abs(co.corrector_term_qplus(phi, run)) < 1e-15
 
 
 def test_qplus_zero_for_constant_probe():
     run = _small_run(FLAT, eps=0.4)
     phi = co.constant_probe(1.0, t_span=(0.0, 0.5))
-    assert abs(co.corrector_term_qplus(FLAT, 0.4, phi, run)) < 1e-12
+    assert abs(co.corrector_term_qplus(phi, run)) < 1e-12
 
 
 def test_qplus_decreases_with_eps():
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
-    terms = [abs(co.corrector_term_qplus(FLAT, e, phi, _small_run(FLAT, e)))
+    terms = [abs(co.corrector_term_qplus(phi, _small_run(FLAT, e)))
              for e in (0.4, 0.2)]
     assert terms[1] < terms[0]
 
@@ -436,28 +436,28 @@ def test_qplus_requires_phase():
     run.phase = []
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
     with pytest.raises(ValidationError, match="phase"):
-        co.corrector_term_qplus(FLAT, 0.3, phi, run)
+        co.corrector_term_qplus(phi, run)
 
 
 def test_qplus_requires_probe_inside_run():
     run = _equilibrium_run(FLAT, eps=0.3, t_end=0.4)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 1.0))
     with pytest.raises(ValidationError, match="snapshot"):
-        co.corrector_term_qplus(FLAT, 0.3, phi, run)
+        co.corrector_term_qplus(phi, run)
 
 
 def test_drift_terms_zero_for_subcritical_alpha():
     run = _equilibrium_run(SUBCRIT, eps=0.3)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
-    assert co.corrector_term_drift_g(SUBCRIT, 0.3, phi, run) == 0.0
-    assert co.corrector_term_drift_rho(SUBCRIT, 0.3, phi, run) == 0.0
+    assert co.corrector_term_drift_g(phi, run) == 0.0
+    assert co.corrector_term_drift_rho(phi, run) == 0.0
 
 
 def test_drift_terms_finite_supercritical():
     run = _small_run(FLAT, eps=0.4)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
-    s2 = co.corrector_term_drift_g(FLAT, 0.4, phi, run)
-    s3 = co.corrector_term_drift_rho(FLAT, 0.4, phi, run)
+    s2 = co.corrector_term_drift_g(phi, run)
+    s3 = co.corrector_term_drift_rho(phi, run)
     assert np.isfinite(s2) and np.isfinite(s3)
     assert s3 != 0.0
 
@@ -525,7 +525,7 @@ def test_remainders_equal_per_node_loop(asym_params):
     for params in (asym_params, FLAT):
         assert drift(params, 0.3) != 0.0
         run = _small_run(params, 0.3, nx=32, nv=33, n_times=6)
-        got = tuple(term(params, 0.3, phi, run) for term in
+        got = tuple(term(phi, run) for term in
                     (co.corrector_term_qplus, co.corrector_term_drift_g,
                      co.corrector_term_drift_rho))
         assert got == pytest.approx(_remainders_per_node(params, 0.3, phi, run),
@@ -546,7 +546,7 @@ def test_hazard_inverted_once_per_call(asym_params, monkeypatch):
     for term in (co.corrector_term_qplus, co.corrector_term_drift_g,
                  co.corrector_term_drift_rho):
         calls.clear()
-        term(asym_params, 0.3, phi, run)
+        term(phi, run)
         assert len(calls) == 1
     # all four L2 numbers (gap and bound ratio, values and d/dt) from one
     # inversion
@@ -576,7 +576,7 @@ def test_space_factor_averaged_once_per_call(asym_params):
         for term in (co.corrector_term_qplus, co.corrector_term_drift_g,
                      co.corrector_term_drift_rho):
             calls.clear()
-            term(asym_params, 0.3, phi, run)
+            term(phi, run)
             counts[term.__name__, n_times] = len(calls)
     for name in ("corrector_term_qplus", "corrector_term_drift_g",
                  "corrector_term_drift_rho"):

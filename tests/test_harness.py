@@ -115,6 +115,7 @@ def test_model_constraints_are_validated_on_load():
     ("experiment.eps_list = 0.4, 1.5", "eps_list"),
     ("experiment.t_final = 0.0", "t_final"),
     ("experiment.snapshot_times = 0.3, 0.1", "snapshot_times"),
+    ("experiment.snapshot_times = 0.1, 0.9", "snapshot_times"),
     ("experiment.particles = -5", "particles"),
     ("experiment.phi_choice = wavelet", "phi_choice"),
     ("output.formats = csv, yaml", "formats"),
@@ -500,8 +501,7 @@ def test_row_remainders_equal_direct_terms(small_cfg, small_report):
         for name, term in (("qplus", corrector_term_qplus),
                            ("drift_g", corrector_term_drift_g),
                            ("drift_rho", corrector_term_drift_rho)):
-            assert row[f"{name}_term"] == term(small_cfg.model, run.eps, phi,
-                                               run)
+            assert row[f"{name}_term"] == term(phi, run)
 
 
 def test_mc_cross_check_reuses_det_run(small_cfg, small_report):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from heavykin import ModelParams, NumericError
+from heavykin import ModelParams, NumericError, ValidationError
 from heavykin import kinetic_fv as kfv
 from heavykin import model as m
-from heavykin.grids import DiscreteModel, SpatialGrid, VelocityGrid, periodized_gaussian
+from heavykin.grids import (DensityField, DiscreteModel, SpatialGrid,
+                            VelocityGrid, periodized_gaussian)
 from heavykin.kinetic_fv import (
     PhaseField,
     auto_vscale,
@@ -17,6 +18,7 @@ from heavykin.kinetic_fv import (
     run_kinetic_det,
     transport_apply,
 )
+from heavykin.nonlocal_op import assemble, solve_macro
 
 
 def make_field(params, nx=32, nv=33, vscale=1.0, rho=None):
@@ -317,6 +319,21 @@ def test_run_snapshot_times_exact(asym_params):
     req = [0.0, 0.07, 0.1, 0.2]
     run = small_run(asym_params, eps=0.4, t_final=0.2, snapshot_times=req)
     assert np.array_equal(run.times, np.array(req))
+
+
+@pytest.mark.parametrize("req", [[0.0, 0.1, 0.07, 0.2], [0.0, 0.1, 0.1, 0.2],
+                                 [0.0, 0.2 * (1 + 1e-13)]])
+def test_run_and_macro_reject_the_same_schedules(asym_params, req):
+    # one schedule rule: an unsorted, repeated or overlong list is not
+    # silently reordered by the kinetic run and refused by the macro solve
+    with pytest.raises(ValidationError) as kinetic:
+        small_run(asym_params, eps=0.4, t_final=0.2, snapshot_times=req)
+    xg = SpatialGrid(nx=16, length=asym_params.domain_length)
+    rho0 = DensityField(xg, periodized_gaussian(xg))
+    with pytest.raises(ValidationError) as macro:
+        solve_macro(assemble(asym_params, xg), rho0, 0.2, snapshot_times=req)
+    assert str(kinetic.value) == str(macro.value)
+    assert "snapshot times" in str(kinetic.value)
 
 
 def test_run_positivity_and_shapes(asym_params):
