@@ -100,10 +100,8 @@ def cmd_kinetic_det(args) -> int:
     eps = cfg.eps_list[0]
     run = run_kinetic_det(
         cfg.model, eps, xgrid=xgrid, vgrid=vgrid, t_final=cfg.t_final,
-        snapshot_times=cfg.snapshot_times,
-        scheme_order=cfg.scheme_order,
-        cfl=cfg.cfl,
-        store_phase="binary" in cfg.formats)
+        snapshot_times=cfg.snapshot_times, scheme_order=cfg.scheme_order,
+        cfl=cfg.cfl, store_phase="binary" in cfg.formats)
     paths = write_outputs(run, cfg.out_dir, cfg.formats,
                           config=config_dict(cfg))
     _say(args, f"kinetic-det eps={eps}: {len(run.times)} snapshots, "
@@ -114,8 +112,6 @@ def cmd_kinetic_det(args) -> int:
 
 def cmd_kinetic_mc(args) -> int:
     cfg = _config(args)
-    if cfg.particles < 1:
-        raise ConfigError("kinetic-mc needs experiment.particles >= 1")
     eps = cfg.eps_list[0]
     ens = init_ensemble(cfg.model, cfg.particles, cfg.seed)
     ens = advance(ens, cfg.t_final, eps)
@@ -126,8 +122,7 @@ def cmd_kinetic_mc(args) -> int:
     _say(args, f"kinetic-mc eps={eps} n={cfg.particles}: mass {fld.mass():.12f}, "
                f"median bin SE {float(np.median(se)):.3e}, "
                f"{ens.collision_count} collisions in {ens.advance_rounds} "
-               "rounds, "
-               f"wrote {len(paths)} file(s) to {cfg.out_dir}")
+               f"rounds, wrote {len(paths)} file(s) to {cfg.out_dir}")
     return 0
 
 

@@ -15,7 +15,7 @@ from .errors import ConfigError, ValidationError
 from .grids import SpatialGrid, VelocityGrid, snapshot_schedule
 from .kinetic_fv import check_courant, check_scheme_order
 from .model import ModelParams, check_eps_ladder
-from .outputs import FORMATS
+from .outputs import check_format_names
 
 __all__ = ["RunConfig", "parse_config", "load_config", "serialize_config",
            "config_dict", "default_config", "validate_config"]
@@ -179,8 +179,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise bad("experiment.seed >= 0")
     if cfg.phi_choice not in _PHI_CHOICES:
         raise bad(f"experiment.phi_choice in {{{', '.join(_PHI_CHOICES)}}}")
-    if not cfg.formats or any(f not in FORMATS for f in cfg.formats):
-        raise bad(f"output.formats subset of {{{', '.join(FORMATS)}}}")
+    check_format_names(cfg.formats)
     return cfg
 
 

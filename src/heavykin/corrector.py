@@ -133,9 +133,6 @@ def _constant_space(level: float) -> SpaceFactor:
 
 
 def _gaussian_space(center: float, width: float, amplitude: float) -> SpaceFactor:
-    if width <= 0:
-        raise ValidationError("parameter constraint violated: width > 0")
-
     def value(x):
         u = (np.asarray(x, dtype=float) - center) / width
         return amplitude * np.exp(-0.5 * u * u)
@@ -154,9 +151,6 @@ def _gaussian_space(center: float, width: float, amplitude: float) -> SpaceFacto
 def _modulated_space(center: float, width: float, k: float,
                      amplitude: float) -> SpaceFactor:
     """cos(k (x - center)) times a Gaussian envelope."""
-    if width <= 0:
-        raise ValidationError("parameter constraint violated: width > 0")
-
     def parts(x):
         # cos, sin, the envelope's log-slope -q and the envelope
         u = np.asarray(x, dtype=float) - center
@@ -249,32 +243,39 @@ def constant_probe(level: float = 1.0, t_span=(0.0, 1.0)) -> ProbeFunction:
                          label="constant")
 
 
+def _packet(time: TimeFactor, space: SpaceFactor, t_support, center: float,
+            width: float, label: str) -> ProbeFunction:
+    """Probe whose space factor has a Gaussian envelope of ``width`` about
+    ``center``; its quadrature box reaches 8 widths either side."""
+    if width <= 0:
+        raise ValidationError("parameter constraint violated: width > 0")
+    return ProbeFunction(time, space, t_support=t_support, x_center=center,
+                         x_halfwidth=max(8.0 * width, 1.0), label=label)
+
+
 def gaussian_packet(*, center: float = 10.0, width: float = 1.0,
                     amplitude: float = 1.0, t_span=(0.0, 1.0),
                     label: str = "gaussian-packet") -> ProbeFunction:
     """Gaussian in x modulated by the compact smooth bump over ``t_span``."""
-    return ProbeFunction(_bump_time(t_span), _gaussian_space(center, width, amplitude),
-                         t_support=t_span, x_center=center,
-                         x_halfwidth=max(8.0 * width, 1.0), label=label)
+    return _packet(_bump_time(t_span), _gaussian_space(center, width, amplitude),
+                   t_span, center, width, label)
 
 
 def static_gaussian(*, center: float = 10.0, width: float = 1.0,
                     amplitude: float = 1.0, box_t=(0.0, 1.0),
                     label: str = "static-gaussian") -> ProbeFunction:
     """Time-independent Gaussian (dt = 0); for pointwise generator checks."""
-    return ProbeFunction(_UNIT_TIME, _gaussian_space(center, width, amplitude),
-                         t_support=box_t, x_center=center,
-                         x_halfwidth=max(8.0 * width, 1.0), label=label)
+    return _packet(_UNIT_TIME, _gaussian_space(center, width, amplitude),
+                   box_t, center, width, label)
 
 
 def modulated_packet(*, center: float = 10.0, width: float = 1.0,
                      wavenumber: float = 2.0, amplitude: float = 1.0,
                      t_span=(0.0, 1.0), label: str = "modulated-packet") -> ProbeFunction:
     """Plane wave times a Gaussian envelope, bump-modulated in time."""
-    return ProbeFunction(_bump_time(t_span),
-                         _modulated_space(center, width, wavenumber, amplitude),
-                         t_support=t_span, x_center=center,
-                         x_halfwidth=max(8.0 * width, 1.0), label=label)
+    return _packet(_bump_time(t_span),
+                   _modulated_space(center, width, wavenumber, amplitude),
+                   t_span, center, width, label)
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +571,7 @@ def _simpson(y, x) -> float:
     return float(total)
 
 
-def _phase_times(run, phi: ProbeFunction) -> np.ndarray:
-    if not getattr(run, "phase", None):
-        raise ValidationError("kinetic run does not carry phase-space snapshots")
+def _snapshot_times(run, phi: ProbeFunction) -> np.ndarray:
     times = np.asarray(run.times, dtype=float)
     if phi.t_support[1] > times[-1] + 1e-12:
         raise ValidationError(
@@ -596,7 +595,7 @@ def corrector_term_qplus(phi: ProbeFunction, run) -> float:
     time integration uses Simpson's rule on the stored snapshot times.
     """
     params, eps = run.params, run.eps
-    times = _phase_times(run, phi)
+    times = _snapshot_times(run, phi)
     centers = run.xgrid.centers
     gain = run.dvm.p_gain * run.dvm.vgrid.weights
     fl = _run_flight(run)
@@ -614,7 +613,7 @@ def corrector_term_drift_g(phi: ProbeFunction, run) -> float:
     j = drift(params, eps)
     if j == 0.0:
         return 0.0
-    times = _phase_times(run, phi)
+    times = _snapshot_times(run, phi)
     wv = run.dvm.vgrid.weights
     fl = _run_flight(run)
     dchi = _dchi_space(phi.space, fl, _dx_rate(params, fl))
@@ -634,7 +633,7 @@ def corrector_term_drift_rho(phi: ProbeFunction, run) -> float:
     j = drift(params, eps)
     if j == 0.0:
         return 0.0
-    times = _phase_times(run, phi)
+    times = _snapshot_times(run, phi)
     fw = run.dvm.vgrid.weights * run.dvm.f_eq
     fl = _run_flight(run)
     dchi = _dchi_space(phi.space, fl, _dx_rate(params, fl))
@@ -647,17 +646,19 @@ def corrector_term_drift_rho(phi: ProbeFunction, run) -> float:
 # pointwise generator integral
 # ---------------------------------------------------------------------------
 
+_VCUT = 1e4   # shoulder/far-tail split, not a cut-off: the far piece reaches |v| = oo
+
 
 def operator_limit_lhs(params: ModelParams, t: float, x: float, eps: float,
                        phi: ProbeFunction, *, nodes: int = 64,
-                       vcut: float = 1e4, region: str = "full") -> float:
+                       region: str = "full") -> float:
     """Rescaled generator integral whose eps -> 0 limit is nonlocal diffusion.
 
     Evaluates  eps^-gamma int nu F [chi - phi - (eps/nu) j dphi/dx] dv  at a
     single (t, x).  The velocity integral is split into the unit core, the
-    algebraic shoulders up to ``vcut`` (log-substituted adaptive quadrature,
+    algebraic shoulders up to ``_VCUT`` (log-substituted adaptive quadrature,
     which spreads out the transition layer near the critical speed), and the
-    far tail in the inverted variable v -> vcut/s, so no asymptotic model of
+    far tail in the inverted variable v -> _VCUT/s, so no asymptotic model of
     the corrector is assumed anywhere.  ``region="core"`` restricts to
     |v| <= 1, the portion covered by the small-velocity estimate.
     """
@@ -682,14 +683,14 @@ def operator_limit_lhs(params: ModelParams, t: float, x: float, eps: float,
         drift_core = eps * j * phix * 2.0 * params.core_height
         return float((core - drift_core) / eps**params.gamma)
 
-    ymax = np.log(vcut)
+    ymax = np.log(_VCUT)
     up, _ = quad(lambda y: collide(np.exp(y)) * np.exp(y), 0.0, ymax,
                  epsabs=1e-12, epsrel=1e-10, limit=200)
     dn, _ = quad(lambda y: collide(-np.exp(y)) * np.exp(y), 0.0, ymax,
                  epsabs=1e-12, epsrel=1e-10, limit=200)
-    far_up, _ = quad(lambda s: collide(vcut / s) * vcut / s**2, 0.0, 1.0,
+    far_up, _ = quad(lambda s: collide(_VCUT / s) * _VCUT / s**2, 0.0, 1.0,
                      epsabs=1e-12, epsrel=1e-10, limit=200)
-    far_dn, _ = quad(lambda s: collide(-vcut / s) * vcut / s**2, 0.0, 1.0,
+    far_dn, _ = quad(lambda s: collide(-_VCUT / s) * _VCUT / s**2, 0.0, 1.0,
                      epsabs=1e-12, epsrel=1e-10, limit=200)
     total = core + up + dn + far_up + far_dn - eps * j * phix
     return float(total / eps**params.gamma)

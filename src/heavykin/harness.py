@@ -288,13 +288,12 @@ def check_correctors(rows: list[dict], params: ModelParams) -> Verdict:
 
 
 def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
-                 vgrid: VelocityGrid, rho0: np.ndarray,
-                 phi: ProbeFunction) -> tuple[dict, KineticRun]:
+                 vgrid: VelocityGrid, phi: ProbeFunction) -> tuple[dict, KineticRun]:
     started = time.perf_counter()
     run = run_kinetic_det(
         cfg.model, eps, xgrid=xgrid, vgrid=vgrid, t_final=cfg.t_final,
         snapshot_times=cfg.snapshot_times, scheme_order=cfg.scheme_order,
-        cfl=cfg.cfl, rho0=rho0, store_phase=True)
+        cfl=cfg.cfl, store_phase=True)
     row = {
         "eps": eps,
         "mass_err": float(np.max(np.abs(np.asarray(run.mass) - 1.0))),
@@ -417,7 +416,7 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
 
     def job(e: float):
         try:
-            return _kinetic_row(cfg, e, xgrid, vgrid, rho0, phi)
+            return _kinetic_row(cfg, e, xgrid, vgrid, phi)
         except HeavykinError as exc:
             return {"eps": e, "error": f"{type(exc).__name__}: {exc}"}, None
 

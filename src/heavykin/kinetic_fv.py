@@ -348,7 +348,8 @@ class KineticRun:
     def g_snapshot(self, index: int) -> np.ndarray:
         """g = f - rho F at a stored phase snapshot."""
         if not self.phase:
-            raise ValidationError("run was made without store_phase=True")
+            raise ValidationError("kinetic run carries no phase-space "
+                                  "snapshots; make it with store_phase=True")
         f = self.phase[index]
         return f - np.outer(self.dvm.density(f), self.dvm.f_eq)
 
@@ -357,9 +358,9 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
                     xgrid: SpatialGrid, vgrid: VelocityGrid,
                     t_final: float, snapshot_times=None,
                     scheme_order: int = 1, cfl: float = 0.9,
-                    rho0: np.ndarray | None = None,
                     store_phase: bool = False) -> KineticRun:
-    """Strang-split (transport/collision/transport) run up to t_final.
+    """Strang-split (transport/collision/transport) run up to t_final from
+    the local equilibrium of :func:`periodized_gaussian`.
 
     The step is the longer of the CFL step 2 dx / smax and the collision
     bound eps^gamma / (40 nu2), both times ``cfl``; transport takes any
@@ -394,9 +395,7 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
             stacklevel=2,
         )
 
-    if rho0 is None:
-        rho0 = periodized_gaussian(xgrid)
-    fld = PhaseField.from_density(xgrid, dvm, np.asarray(rho0, dtype=float))
+    fld = PhaseField.from_density(xgrid, dvm, periodized_gaussian(xgrid))
 
     _, smax = _transport_speeds(params, eps, vgrid.v)
     # The CFL step applies to the half-step of length dt/2.  Transport is

@@ -103,7 +103,7 @@ def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
     :class:`NumericError`.
     """
     if n < 1:
-        raise ValidationError(f"need at least one particle (got n={n})")
+        raise ValidationError(f"need at least one particle (got {n} particles)")
     if partitions < 1 or partitions > n:
         raise ValidationError(f"partitions must lie in [1, n] (got {partitions})")
     if profile not in ("gaussian", "uniform"):

@@ -374,15 +374,17 @@ def solve_macro(op: NonlocalOperator, rho0: DensityField, t_final: float, *,
 # pointwise evaluation on the line
 # ---------------------------------------------------------------------------
 
+_WCUT = 50.0   # mid-range/far-field split, not a cut-off: period chunks follow
+
 
 def nonlocal_operator_at(params: ModelParams, phi, t: float, x: float, *,
-                         wcut: float = 50.0, far_periods: int = 60) -> float:
+                         far_periods: int = 60) -> float:
     """(L phi)(x) for a smooth probe on the whole line (no periodization).
 
     Realizes the principal value by symmetric pairing w -> {x+w, x-w}.  The
     near piece uses the substitution w = r^2 to soften the kernel.  The far
     field oscillates forever at the rate's period, so it is integrated in
-    period-length chunks out to wcut + far_periods * L, where the probe must
+    period-length chunks out to _WCUT + far_periods * L, where the probe must
     have either decayed to zero or flattened to phi(x); past that point the
     kernel's segment average is within O(1/w) of nubar and the remaining
     tail integrates in closed form (a power tail plus a cosine tail; the
@@ -426,10 +428,10 @@ def nonlocal_operator_at(params: ModelParams, phi, t: float, x: float, *,
         return value
 
     near = best_effort(lambda r: paired(r * r) * 2.0 * r, 0.0, 1.0)
-    mid = best_effort(paired, 1.0, wcut)
+    mid = best_effort(paired, 1.0, _WCUT)
 
-    w_end = wcut + far_periods * length
-    far = sum(best_effort(paired, wcut + m * length, wcut + (m + 1) * length)
+    w_end = _WCUT + far_periods * length
+    far = sum(best_effort(paired, _WCUT + m * length, _WCUT + (m + 1) * length)
               for m in range(far_periods))
 
     # tail completion beyond w_end: requires the probe to have settled

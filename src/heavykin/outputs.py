@@ -27,10 +27,10 @@ from .kinetic_fv import KineticRun, PhaseField
 from .model import ModelParams
 from .nonlocal_op import MacroRun
 
-__all__ = ["SCHEMA_VERSION", "FORMATS", "check_formats", "json_text",
-           "write_outputs", "write_density_csv", "write_trajectory_csv",
-           "write_table_csv", "write_manifest_json", "write_phase_binary",
-           "read_phase_binary", "write_gnuplot_script"]
+__all__ = ["SCHEMA_VERSION", "FORMATS", "check_format_names", "check_formats",
+           "json_text", "write_outputs", "write_density_csv",
+           "write_trajectory_csv", "write_table_csv", "write_manifest_json",
+           "write_phase_binary", "read_phase_binary", "write_gnuplot_script"]
 
 SCHEMA_VERSION = 1
 FORMATS = ("csv", "json", "binary", "gnuplot")
@@ -80,18 +80,27 @@ def _write(path: Path, data: str | bytes) -> Path:
     return path
 
 
-def check_formats(formats, *, phase: bool) -> None:
+def check_format_names(formats) -> None:
     """Raise :class:`ConfigError` unless ``formats`` is a nonempty subset of
-    :data:`FORMATS`, with ``binary`` only for a phase-space result
-    (``phase``) and ``gnuplot`` only beside the ``csv`` its scripts plot."""
-    unknown = [f for f in formats if f not in FORMATS]
-    if unknown:
-        raise ConfigError(f"unknown output format(s): {', '.join(unknown)}")
-    if not formats:
-        raise ConfigError("no output formats requested")
+    :data:`FORMATS`; config load applies this part alone, since the pairing
+    rules of :func:`check_formats` depend on the command."""
+    if not formats or any(f not in FORMATS for f in formats):
+        raise ConfigError(
+            f"output.formats must be a nonempty subset of {{{', '.join(FORMATS)}}}"
+            f" (got {', '.join(map(str, formats)) or 'none'})")
+
+
+def check_formats(formats, *, phase: bool) -> None:
+    """Raise :class:`ConfigError` unless ``formats`` passes
+    :func:`check_format_names`, with ``binary`` only for a phase-space
+    result (``phase``) and ``gnuplot`` only beside the ``csv`` its scripts
+    plot."""
+    check_format_names(formats)
     if "binary" in formats and not phase:
-        raise ConfigError("binary dumps are reserved for phase-space fields; "
-                          "drop 'binary' from output.formats for this command")
+        raise ConfigError("binary dumps are reserved for phase-space fields "
+                          "(a PhaseField, or a kinetic run made with "
+                          "store_phase=True); drop 'binary' from "
+                          "output.formats for this command")
     if "gnuplot" in formats and "csv" not in formats:
         raise ConfigError("gnuplot scripts plot the CSV files; add 'csv' to "
                           "output.formats or drop 'gnuplot'")
@@ -121,10 +130,7 @@ def _csv_text(columns, rows) -> str:
 
 def _cell(value, what: str):
     if isinstance(value, (float, np.floating)):
-        if not np.isfinite(value):
-            raise NumericError(f"{what} contains non-finite values; "
-                               "refusing to serialize")
-        return repr(float(value))
+        return repr(float(_finite(value, what)))
     return value
 
 
@@ -322,12 +328,8 @@ def _kinetic_outputs(run: KineticRun, out: Path, formats, config) -> list[Path]:
             "wall_time": run.wall_time,
         }, out / "kinetic.json", config=config))
     if "binary" in formats:
-        if not run.phase:
-            raise ConfigError("run carries no phase snapshots; rerun the "
-                              "solver with store_phase=True for binary dumps")
-        for i, values in enumerate(run.phase):
-            fld = PhaseField(run.xgrid, run.dvm, values,
-                             time=float(run.times[i]))
+        for i, (t, values) in enumerate(zip(run.times, run.phase)):
+            fld = PhaseField(run.xgrid, run.dvm, values, time=float(t))
             written.append(write_phase_binary(fld, out / f"phase_{i:03d}.bin"))
     if "gnuplot" in formats:
         written.append(write_gnuplot_script(
@@ -360,9 +362,11 @@ def write_outputs(obj, out_dir, formats=("csv", "json"), *,
     returns the written paths.  ``config`` (the flat run-config mapping) is
     echoed into the JSON manifest when given; sweep reports already embed
     theirs.  Formats that break :func:`check_formats` raise
-    :class:`ConfigError` before anything is written.
+    :class:`ConfigError` before anything is written; a KineticRun counts as
+    phase-space output only when it stores snapshots.
     """
-    check_formats(formats, phase=isinstance(obj, (PhaseField, KineticRun)))
+    check_formats(formats, phase=isinstance(obj, PhaseField)
+                  or (isinstance(obj, KineticRun) and bool(obj.phase)))
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

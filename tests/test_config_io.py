@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from heavykin.cli import _build_parser, main
+from heavykin.config import parse_config
 from heavykin.errors import ConfigError, NumericError, OutputError
 from heavykin.grids import DensityField, SpatialGrid, VelocityGrid, \
     periodized_gaussian
@@ -192,6 +193,28 @@ def test_write_outputs_kinetic_binary_needs_phase(tmp_path):
     run = small_run(store_phase=False)
     with pytest.raises(ConfigError, match="store_phase"):
         write_outputs(run, tmp_path, ("binary",))
+
+
+def test_write_outputs_refuses_binary_without_snapshots_before_writing(tmp_path):
+    # a run without snapshots is not phase-space output, so the format check
+    # refuses it before the CSV and JSON files are written
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="phase-space"):
+        write_outputs(small_run(store_phase=False), out,
+                      ("csv", "json", "binary"))
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_and_writer_refuse_unknown_formats_alike(tmp_path):
+    with pytest.raises(ConfigError) as on_load:
+        parse_config("output.formats = csv, yaml\n")
+    grid = SpatialGrid(4, 20.0)
+    with pytest.raises(ConfigError) as on_write:
+        write_outputs(DensityField(grid, np.ones(4)), tmp_path, ("csv", "yaml"))
+    assert str(on_load.value) == str(on_write.value)
+    assert "yaml" in str(on_load.value)
+    assert on_load.traceback[-1].name == on_write.traceback[-1].name \
+        == "check_format_names"
 
 
 def test_write_outputs_macro(tmp_path):

@@ -55,6 +55,10 @@ def test_probe_validation():
         co.constant_probe(1.0, t_span=(1.0, 1.0))
     with pytest.raises(ValidationError, match="width"):
         co.gaussian_packet(width=0.0)
+    with pytest.raises(ValidationError, match="width"):
+        co.static_gaussian(width=0.0)
+    with pytest.raises(ValidationError, match="width"):
+        co.modulated_packet(width=-1.0)
     with pytest.raises(ValidationError, match="xi"):
         plane_wave(0.0)
 
@@ -460,6 +464,22 @@ def test_drift_terms_finite_supercritical():
     s3 = co.corrector_term_drift_rho(phi, run)
     assert np.isfinite(s2) and np.isfinite(s3)
     assert s3 != 0.0
+
+
+def test_drift_rho_needs_no_phase_snapshots():
+    # the term reads only the densities, which every run records
+    xgrid = SpatialGrid(48, FLAT.domain_length)
+    vgrid = VelocityGrid(65, vscale=auto_vscale(FLAT, 65, 0.4))
+    phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    terms = {}
+    for store_phase in (True, False):
+        run = run_kinetic_det(FLAT, 0.4, xgrid=xgrid, vgrid=vgrid, t_final=0.5,
+                              scheme_order=2, store_phase=store_phase)
+        terms[store_phase] = co.corrector_term_drift_rho(phi, run)
+    assert terms[False] == terms[True] != 0.0
+    # the terms that read the deviation g still need the snapshots
+    with pytest.raises(ValidationError, match="store_phase"):
+        co.corrector_term_drift_g(phi, run)
 
 
 def _remainders_per_node(params, eps, phi, run):
