@@ -17,8 +17,8 @@ import numpy as np
 from . import __version__
 from .config import (RunConfig, config_dict, default_config, load_config,
                      validate_config)
-from .corrector import (chi_eval, chi_l2_diagnostics, hazard_weight,
-                        operator_limit_lhs, static_gaussian)
+from .corrector import (chi_eval, chi_l2_diagnostics, constant_probe,
+                        hazard_weight, operator_limit_lhs, static_gaussian)
 from .errors import ConfigError, NumericError, OutputError, ValidationError
 from .grids import SpatialGrid, periodized_gaussian, DensityField
 from .harness import (Verdict, build_grids, check_coercivity,
@@ -239,8 +239,7 @@ def cmd_invariants(args) -> int:
         worst_hazard = max(worst_hazard,
                            abs(float(hazard_weight(params, x, v, e)) - 1.0))
     const_vals = chi_eval(params, 0.5, xs, vs, 0.3,
-                          probe_from_choice(dataclasses.replace(
-                              cfg, phi_choice="constant")))
+                          constant_probe(1.0, t_span=(0.0, cfg.t_final)))
     worst_chi = float(np.max(np.abs(const_vals - 1.0)))
 
     pairs = rng.uniform(0.0, params.domain_length, (500, 2))

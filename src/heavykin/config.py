@@ -11,6 +11,7 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass
 
+from .corrector import _probe_choice
 from .errors import ConfigError, ValidationError
 from .grids import SpatialGrid, VelocityGrid, snapshot_schedule
 from .kinetic_fv import check_courant, check_scheme_order
@@ -21,7 +22,6 @@ __all__ = ["RunConfig", "parse_config", "load_config", "serialize_config",
            "config_dict", "default_config", "validate_config"]
 
 _SECTIONS = ("model", "discretization", "experiment", "output")
-_PHI_CHOICES = ("gaussian", "packet", "constant")
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise bad("experiment.particles >= 0")
     if cfg.seed < 0:
         raise bad("experiment.seed >= 0")
-    if cfg.phi_choice not in _PHI_CHOICES:
-        raise bad(f"experiment.phi_choice in {{{', '.join(_PHI_CHOICES)}}}")
+    owned("experiment.phi_choice", _probe_choice, cfg.phi_choice)
     check_format_names(cfg.formats)
     return cfg
 

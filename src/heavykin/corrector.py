@@ -278,6 +278,25 @@ def modulated_packet(*, center: float = 10.0, width: float = 1.0,
                    t_span, center, width, label)
 
 
+# experiment.phi_choice: each name's probe about ``center`` over ``t_span``
+_PROBE_CHOICES = {
+    "gaussian": lambda center, t_span: gaussian_packet(
+        center=center, width=1.0, t_span=t_span),
+    "packet": lambda center, t_span: modulated_packet(
+        center=center, width=1.0, t_span=t_span),
+    "constant": lambda center, t_span: constant_probe(1.0, t_span=t_span),
+}
+
+
+def _probe_choice(name: str) -> Callable[..., ProbeFunction]:
+    """The constructor ``(center, t_span) -> ProbeFunction`` that the
+    ``experiment.phi_choice`` value ``name`` selects."""
+    if name not in _PROBE_CHOICES:
+        raise ValidationError("parameter constraint violated: phi_choice in "
+                              f"{{{', '.join(_PROBE_CHOICES)}}} (got {name!r})")
+    return _PROBE_CHOICES[name]
+
+
 # ---------------------------------------------------------------------------
 # corrector evaluation
 # ---------------------------------------------------------------------------
@@ -598,11 +617,12 @@ def corrector_term_qplus(phi: ProbeFunction, run) -> float:
     times = _snapshot_times(run, phi)
     centers = run.xgrid.centers
     gain = run.dvm.p_gain * run.dvm.vgrid.weights
+    # snapshots first: a run without them is refused before the flight
+    moments = [run.dvm.moment_beta(run.g_snapshot(i)) for i in range(times.size)]
     fl = _run_flight(run)
     delta = fl.average(phi.space.value(fl.pts)) - phi.space.value(centers)[:, None]
     kernel = nu0(params, centers) * (delta @ gain)
-    vals = np.array([kernel @ run.dvm.moment_beta(run.g_snapshot(i))
-                     for i in range(times.size)])
+    vals = np.array([kernel @ m for m in moments])
     vals *= run.xgrid.dx * phi.time.value(times)
     return float(eps ** (-params.gamma) * _simpson(vals, times))
 
@@ -615,10 +635,11 @@ def corrector_term_drift_g(phi: ProbeFunction, run) -> float:
         return 0.0
     times = _snapshot_times(run, phi)
     wv = run.dvm.vgrid.weights
+    # snapshots first: a run without them is refused before the flight
+    gs = [run.g_snapshot(i) for i in range(times.size)]
     fl = _run_flight(run)
     dchi = _dchi_space(phi.space, fl, _dx_rate(params, fl))
-    vals = np.array([np.sum((run.g_snapshot(i) * dchi) @ wv)
-                     for i in range(times.size)])
+    vals = np.array([np.sum((g * dchi) @ wv) for g in gs])
     vals *= run.xgrid.dx * phi.time.value(times)
     return float(eps ** (1.0 - params.gamma) * j * _simpson(vals, times))
 

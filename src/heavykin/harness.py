@@ -20,9 +20,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_dict
-from .corrector import (ProbeFunction, constant_probe, corrector_term_drift_g,
-                        corrector_term_drift_rho, corrector_term_qplus,
-                        gaussian_packet, modulated_packet)
+from .corrector import (ProbeFunction, _probe_choice, corrector_term_drift_g,
+                        corrector_term_drift_rho, corrector_term_qplus)
 from .errors import HeavykinError, NumericError, ValidationError
 from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid, \
     periodized_gaussian, snapshot_schedule
@@ -114,13 +113,8 @@ def build_grids(cfg: RunConfig) -> tuple[SpatialGrid, VelocityGrid]:
 
 def probe_from_choice(cfg: RunConfig) -> ProbeFunction:
     """The weak-formulation probe named by experiment.phi_choice."""
-    span = (0.0, cfg.t_final)
-    center = 0.5 * cfg.model.domain_length
-    if cfg.phi_choice == "gaussian":
-        return gaussian_packet(center=center, width=1.0, t_span=span)
-    if cfg.phi_choice == "packet":
-        return modulated_packet(center=center, width=1.0, t_span=span)
-    return constant_probe(1.0, t_span=span)
+    return _probe_choice(cfg.phi_choice)(0.5 * cfg.model.domain_length,
+                                         (0.0, cfg.t_final))
 
 
 # ---------------------------------------------------------------------------

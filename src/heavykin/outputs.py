@@ -237,121 +237,112 @@ def write_gnuplot_script(path, csv_name: str, *, title: str, xlabel: str,
 # ---------------------------------------------------------------------------
 
 
-def _density_outputs(field: DensityField, out: Path, formats,
-                     config) -> list[Path]:
-    written = []
-    if "csv" in formats:
-        written.append(write_density_csv(field, out / "density.csv"))
-    if "json" in formats:
-        written.append(write_manifest_json({
-            "kind": "density",
-            "time": field.time,
-            "provenance": field.provenance,
-            "nx": field.grid.nx,
-            "domain_length": field.grid.length,
-            "mass": field.mass(),
-            "l2_norm": field.l2_norm(),
-        }, out / "density.json", config=config))
-    if "gnuplot" in formats:
-        written.append(write_gnuplot_script(
-            out / "density.gnuplot", "density.csv", title="density",
-            xlabel="x", ylabel="rho", using="1:2", style="lines"))
-    return written
+def _density_pair(density, title: str) -> dict:
+    """csv + gnuplot writers of the density profile ``density()`` builds."""
+    return {
+        "csv": lambda out: [write_density_csv(density(), out / "density.csv")],
+        "gnuplot": lambda out: [write_gnuplot_script(
+            out / "density.gnuplot", "density.csv", title=title,
+            xlabel="x", ylabel="rho", using="1:2", style="lines")],
+    }
 
 
-def _phase_outputs(fld: PhaseField, out: Path, formats, config) -> list[Path]:
-    written = []
-    if "binary" in formats:
-        written.append(write_phase_binary(fld, out / "phase.bin"))
-    if "csv" in formats:
-        written.append(write_density_csv(fld.density(), out / "density.csv"))
-    if "json" in formats:
-        written.append(write_manifest_json({
-            "kind": "phase",
-            "time": fld.time,
-            "nx": fld.xgrid.nx,
-            "nv": fld.dvm.vgrid.nv,
-            "mass": fld.mass(),
-        }, out / "phase.json", config=config))
-    if "gnuplot" in formats:
-        written.append(write_gnuplot_script(
-            out / "density.gnuplot", "density.csv", title="phase marginal",
-            xlabel="x", ylabel="rho", using="1:2", style="lines"))
-    return written
+def _trajectory_pair(run, grid: SpatialGrid, stem: str, title: str) -> dict:
+    """csv + gnuplot writers of ``run``'s density trajectory, as ``stem``.*"""
+    return {
+        "csv": lambda out: [write_trajectory_csv(run.times, grid, run.rho,
+                                                 out / f"{stem}.csv")],
+        "gnuplot": lambda out: [write_gnuplot_script(
+            out / f"{stem}.gnuplot", f"{stem}.csv", title=title,
+            xlabel="x", ylabel="rho", using="2:3", style="dots")],
+    }
 
 
-def _macro_outputs(run: MacroRun, out: Path, formats, config) -> list[Path]:
-    written = []
-    if "csv" in formats:
-        written.append(write_trajectory_csv(run.times, run.grid, run.rho,
-                                            out / "macro.csv"))
-    if "json" in formats:
-        written.append(write_manifest_json({
-            "kind": "macro-run",
-            "nx": run.grid.nx,
-            "domain_length": run.grid.length,
-            "times": run.times,
-            "masses": run.masses(),
-            "energies": run.energies(),
-        }, out / "macro.json", config=config))
-    if "gnuplot" in formats:
-        written.append(write_gnuplot_script(
-            out / "macro.gnuplot", "macro.csv", title="macro density",
-            xlabel="x", ylabel="rho", using="2:3", style="dots"))
-    return written
+def _writers(obj, config) -> dict:
+    """Each format ``obj`` can be written in -> a writer that takes the
+    directory, builds its data and returns the paths it wrote.  Only
+    phase-space results have a ``binary`` entry."""
+    def manifest(name: str, payload):
+        return lambda out: [write_manifest_json(payload(), out / name,
+                                                config=config)]
 
-
-def _kinetic_outputs(run: KineticRun, out: Path, formats, config) -> list[Path]:
-    written = []
-    if "csv" in formats:
-        written.append(write_trajectory_csv(run.times, run.xgrid, run.rho,
-                                            out / "kinetic.csv"))
-        # fluctuation diagnostic against its a-priori envelope
-        rows = [{"t": float(t), "gnorm2": float(g), "bound": run.apriori_bound}
-                for t, g in zip(run.times, run.gnorm2)]
-        written.append(write_table_csv(out / "gnorm.csv",
-                                       ("t", "gnorm2", "bound"), rows))
-    if "json" in formats:
-        written.append(write_manifest_json({
-            "kind": "kinetic-run",
-            "eps": run.eps,
-            "scheme_order": run.scheme_order,
-            "nx": run.xgrid.nx,
-            "nv": run.dvm.vgrid.nv,
-            "times": run.times,
-            "mass": run.mass,
-            "gnorm2": run.gnorm2,
-            "rho_l2": run.rho_l2,
-            "f0_norm2": run.f0_norm2,
-            "dt_max": run.dt_max,
-            "step_bound": run.step_bound,
-            "wall_time": run.wall_time,
-        }, out / "kinetic.json", config=config))
-    if "binary" in formats:
-        for i, (t, values) in enumerate(zip(run.times, run.phase)):
-            fld = PhaseField(run.xgrid, run.dvm, values, time=float(t))
-            written.append(write_phase_binary(fld, out / f"phase_{i:03d}.bin"))
-    if "gnuplot" in formats:
-        written.append(write_gnuplot_script(
-            out / "kinetic.gnuplot", "kinetic.csv", title="kinetic density",
-            xlabel="x", ylabel="rho", using="2:3", style="dots"))
-    return written
-
-
-def _sweep_outputs(report, out: Path, formats) -> list[Path]:
-    written = []
-    if "csv" in formats:
-        written.append(write_table_csv(out / "sweep_rows.csv", SWEEP_COLUMNS,
-                                       report.rows))
-    if "json" in formats:
-        written.append(write_manifest_json(report.as_dict(),
-                                           out / "report.json"))
-    if "gnuplot" in formats:
-        written.append(write_gnuplot_script(
-            out / "sweep.gnuplot", "sweep_rows.csv",
-            title="terminal L2 error vs eps", xlabel="eps",
-            ylabel="error", using="1:2", logscale="xy"))
-    return written
+    if isinstance(obj, DensityField):
+        return {**_density_pair(lambda: obj, "density"),
+                "json": manifest("density.json", lambda: {
+                    "kind": "density",
+                    "time": obj.time,
+                    "provenance": obj.provenance,
+                    "nx": obj.grid.nx,
+                    "domain_length": obj.grid.length,
+                    "mass": obj.mass(),
+                    "l2_norm": obj.l2_norm(),
+                })}
+    if isinstance(obj, PhaseField):
+        return {**_density_pair(obj.density, "phase marginal"),
+                "json": manifest("phase.json", lambda: {
+                    "kind": "phase",
+                    "time": obj.time,
+                    "nx": obj.xgrid.nx,
+                    "nv": obj.dvm.vgrid.nv,
+                    "mass": obj.mass(),
+                }),
+                "binary": lambda out: [write_phase_binary(obj,
+                                                          out / "phase.bin")]}
+    if isinstance(obj, MacroRun):
+        return {**_trajectory_pair(obj, obj.grid, "macro", "macro density"),
+                "json": manifest("macro.json", lambda: {
+                    "kind": "macro-run",
+                    "nx": obj.grid.nx,
+                    "domain_length": obj.grid.length,
+                    "times": obj.times,
+                    "masses": obj.masses(),
+                    "energies": obj.energies(),
+                })}
+    if isinstance(obj, KineticRun):
+        trajectory = _trajectory_pair(obj, obj.xgrid, "kinetic",
+                                      "kinetic density")
+        table = {
+            **trajectory,
+            # fluctuation diagnostic against its a-priori envelope
+            "csv": lambda out: trajectory["csv"](out) + [write_table_csv(
+                out / "gnorm.csv", ("t", "gnorm2", "bound"),
+                [{"t": float(t), "gnorm2": float(g), "bound": obj.apriori_bound}
+                 for t, g in zip(obj.times, obj.gnorm2)])],
+            "json": manifest("kinetic.json", lambda: {
+                "kind": "kinetic-run",
+                "eps": obj.eps,
+                "scheme_order": obj.scheme_order,
+                "nx": obj.xgrid.nx,
+                "nv": obj.dvm.vgrid.nv,
+                "times": obj.times,
+                "mass": obj.mass,
+                "gnorm2": obj.gnorm2,
+                "rho_l2": obj.rho_l2,
+                "f0_norm2": obj.f0_norm2,
+                "dt_max": obj.dt_max,
+                "step_bound": obj.step_bound,
+                "wall_time": obj.wall_time,
+            }),
+        }
+        if obj.phase:   # only a run made with store_phase is phase-space
+            table["binary"] = lambda out: [write_phase_binary(
+                PhaseField(obj.xgrid, obj.dvm, values, time=float(t)),
+                out / f"phase_{i:03d}.bin")
+                for i, (t, values) in enumerate(zip(obj.times, obj.phase))]
+        return table
+    # SweepReport (avoid importing harness here just for isinstance)
+    if hasattr(obj, "verdicts") and hasattr(obj, "as_dict"):
+        return {
+            "csv": lambda out: [write_table_csv(out / "sweep_rows.csv",
+                                                SWEEP_COLUMNS, obj.rows)],
+            "json": lambda out: [write_manifest_json(obj.as_dict(),
+                                                     out / "report.json")],
+            "gnuplot": lambda out: [write_gnuplot_script(
+                out / "sweep.gnuplot", "sweep_rows.csv",
+                title="terminal L2 error vs eps", xlabel="eps",
+                ylabel="error", using="1:2", logscale="xy")],
+        }
+    raise ConfigError(f"no writers for objects of type {type(obj).__name__}")
 
 
 def write_outputs(obj, out_dir, formats=("csv", "json"), *,
@@ -359,29 +350,13 @@ def write_outputs(obj, out_dir, formats=("csv", "json"), *,
     """Write ``obj`` under ``out_dir`` in each requested format.
 
     Accepts a DensityField, PhaseField, KineticRun, MacroRun, or SweepReport;
-    returns the written paths.  ``config`` (the flat run-config mapping) is
-    echoed into the JSON manifest when given; sweep reports already embed
-    theirs.  Formats that break :func:`check_formats` raise
-    :class:`ConfigError` before anything is written; a KineticRun counts as
-    phase-space output only when it stores snapshots.
+    returns the written paths, format by format in :data:`FORMATS` order.
+    ``config`` (the flat run-config mapping) is echoed into the JSON manifest
+    when given; sweep reports already embed theirs.  An object of another
+    type, or formats that break :func:`check_formats`, raise
+    :class:`ConfigError` before the first file creates the directory.
     """
-    check_formats(formats, phase=isinstance(obj, PhaseField)
-                  or (isinstance(obj, KineticRun) and bool(obj.phase)))
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OutputError(f"cannot create output dir {out}: {exc}") from exc
-
-    if isinstance(obj, DensityField):
-        return _density_outputs(obj, out, formats, config)
-    if isinstance(obj, PhaseField):
-        return _phase_outputs(obj, out, formats, config)
-    if isinstance(obj, MacroRun):
-        return _macro_outputs(obj, out, formats, config)
-    if isinstance(obj, KineticRun):
-        return _kinetic_outputs(obj, out, formats, config)
-    # SweepReport (avoid importing harness here just for isinstance)
-    if hasattr(obj, "verdicts") and hasattr(obj, "as_dict"):
-        return _sweep_outputs(obj, out, formats)
-    raise ConfigError(f"no writers for objects of type {type(obj).__name__}")
+    writers = _writers(obj, config)
+    check_formats(formats, phase="binary" in writers)
+    return [path for fmt in FORMATS if fmt in formats
+            for path in writers[fmt](Path(out_dir))]

@@ -16,10 +16,11 @@ from heavykin.config import parse_config
 from heavykin.errors import ConfigError, NumericError, OutputError
 from heavykin.grids import DensityField, SpatialGrid, VelocityGrid, \
     periodized_gaussian
+from heavykin.harness import SweepReport
 from heavykin.kinetic_fv import PhaseField, run_kinetic_det
 from heavykin.model import ModelParams
 from heavykin.nonlocal_op import assemble, solve_macro
-from heavykin.outputs import (SCHEMA_VERSION, read_phase_binary,
+from heavykin.outputs import (FORMATS, SCHEMA_VERSION, read_phase_binary,
                               write_density_csv, write_manifest_json,
                               write_outputs, write_phase_binary,
                               write_table_csv)
@@ -170,6 +171,60 @@ def test_write_outputs_empty_formats(tmp_path):
 def test_write_outputs_unknown_object(tmp_path):
     with pytest.raises(ConfigError, match="no writers"):
         write_outputs(object(), tmp_path, ("csv",))
+
+
+def test_write_outputs_unknown_object_creates_no_directory(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="no writers"):
+        write_outputs(object(), out, ("csv",))
+    assert not out.exists()
+
+
+def _phase_field():
+    run = small_run(store_phase=True)
+    return PhaseField(run.xgrid, run.dvm, run.phase[-1], time=run.times[-1])
+
+
+def _macro_run():
+    grid = SpatialGrid(16, 20.0)
+    return solve_macro(assemble(PARAMS, grid),
+                       DensityField(grid, periodized_gaussian(grid)), 0.1)
+
+
+def _sweep_report():
+    row = {"eps": 0.4, "error_l2": 0.1, "wall_time": 0.0}
+    return SweepReport(version="0", seed=1, config={}, params={},
+                       eps_list=[0.4], rows=[row], macro={}, verdicts=[])
+
+
+# small_run keeps the default schedule's six snapshots
+_SNAPSHOTS = [f"phase_{i:03d}.bin" for i in range(6)]
+
+
+# every result type in every format it accepts; the file names are the ones
+# docs/file-formats.md lists
+@pytest.mark.parametrize("make, formats, names", [
+    (lambda: DensityField(SpatialGrid(4, 20.0), np.ones(4)),
+     ("gnuplot", "json", "csv"),
+     ["density.csv", "density.gnuplot", "density.json"]),
+    (_phase_field, ("gnuplot", "binary", "json", "csv"),
+     ["density.csv", "density.gnuplot", "phase.bin", "phase.json"]),
+    (_macro_run, ("gnuplot", "json", "csv"),
+     ["macro.csv", "macro.gnuplot", "macro.json"]),
+    (lambda: small_run(store_phase=True), ("gnuplot", "binary", "json", "csv"),
+     ["gnorm.csv", "kinetic.csv", "kinetic.gnuplot", "kinetic.json"]
+     + _SNAPSHOTS),
+    (_sweep_report, ("gnuplot", "json", "csv"),
+     ["report.json", "sweep.gnuplot", "sweep_rows.csv"]),
+])
+def test_write_outputs_file_names_per_type(tmp_path, make, formats, names):
+    paths = write_outputs(make(), tmp_path, formats)
+    assert sorted(p.name for p in paths) == names
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    # paths come back format by format in FORMATS order, whatever the request
+    kinds = [{".csv": "csv", ".json": "json", ".bin": "binary",
+              ".gnuplot": "gnuplot"}[p.suffix] for p in paths]
+    assert kinds == sorted(kinds, key=FORMATS.index)
 
 
 def test_write_outputs_kinetic_with_snapshots(tmp_path):

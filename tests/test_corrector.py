@@ -443,6 +443,22 @@ def test_qplus_requires_phase():
         co.corrector_term_qplus(phi, run)
 
 
+def test_remainders_refuse_missing_snapshots_before_the_flight(asym_params,
+                                                              monkeypatch):
+    # a run made without store_phase is refused before any hazard inversion
+    run = _equilibrium_run(asym_params, eps=0.3)
+    run.phase = []
+    phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    calls = []
+    invert = co._invert_hazard
+    monkeypatch.setattr(co, "_invert_hazard",
+                        lambda *args: calls.append(args) or invert(*args))
+    for term in (co.corrector_term_qplus, co.corrector_term_drift_g):
+        with pytest.raises(ValidationError, match="phase-space"):
+            term(phi, run)
+    assert calls == []
+
+
 def test_qplus_requires_probe_inside_run():
     run = _equilibrium_run(FLAT, eps=0.3, t_end=0.4)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 1.0))

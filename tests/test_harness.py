@@ -16,7 +16,8 @@ import pytest
 
 import heavykin
 from heavykin.config import (RunConfig, config_dict, default_config,
-                             load_config, parse_config, serialize_config)
+                             load_config, parse_config, serialize_config,
+                             validate_config)
 from heavykin.corrector import (corrector_term_drift_g,
                                 corrector_term_drift_rho, corrector_term_qplus)
 from heavykin.errors import ConfigError, NumericError, ValidationError
@@ -561,6 +562,17 @@ def test_probe_from_choice_variants(small_cfg):
     flat = probe_from_choice(dataclasses.replace(small_cfg,
                                                  phi_choice="constant"))
     assert flat.value(0.1, np.array([0.0, 5.0])) == pytest.approx([1.0, 1.0])
+
+
+def test_probe_from_choice_refuses_unknown_name(small_cfg):
+    # a name outside the table is refused, not taken for the constant probe,
+    # and config validation quotes the same table
+    wavelet = dataclasses.replace(small_cfg, phi_choice="wavelet")
+    with pytest.raises(ValidationError, match="phi_choice"):
+        probe_from_choice(wavelet)
+    with pytest.raises(ConfigError, match=r"experiment\.phi_choice: .*"
+                       r"\{gaussian, packet, constant\}"):
+        validate_config(wavelet)
 
 
 def test_build_grids_policies(small_cfg):
