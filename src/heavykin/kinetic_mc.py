@@ -7,6 +7,13 @@ along a whole flight, since v is constant there), accepted with probability
 nu0(x_candidate)/nu2, after which the velocity is redrawn from the
 post-collision density p.  No time-step bias anywhere.
 
+Each round's flight is computed in place on that round's fresh draw buffers,
+and the live particles are compacted by index; with beta = 0 the rate is the
+scalar nu2 / eps^gamma, and with delta = 0 thinning compares against the
+scalar mean rate.  Positions, velocities and collision counts are bit for bit
+those of the plain compacted round loop (``np.mod`` wrap, per-particle rates,
+nu0 at every candidate), except that a position rounding to L wraps to 0.
+
 Randomness is organized in counter-based streams, one Philox key per ensemble
 partition (fixed default 8).  `init_ensemble` and `advance` run the
 partitions on a thread pool sized to the available cores; each partition
@@ -124,10 +131,14 @@ def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
 
     def draw(sl: slice, g: Generator) -> None:
         m = sl.stop - sl.start
+        x = ens.positions[sl]
         if profile == "gaussian":
-            ens.positions[sl] = np.mod(0.5 * length + g.standard_normal(m), length)
+            g.standard_normal(out=x)
+            x += 0.5 * length
+            _wrap(x, length)
         else:
-            ens.positions[sl] = g.random(m) * length
+            g.random(out=x)
+            x *= length
         with np.errstate(over="ignore"):   # counted below
             ens.velocities[sl] = feq.sample(g, m)
 
@@ -170,9 +181,10 @@ def _advance_partition(ens: ParticleEnsemble, sl: slice, g, dt_macro: float,
     """Advance the particles of one partition with its own stream.
 
     The live particles' x, v, t, ensemble index and rate are kept compacted:
-    each round filters them by whether their candidate event falls before
-    t_end, and writes the finished ones straight into ``ens`` (partitions
-    own disjoint slices).  Returns (accepted collisions, rounds).
+    each round takes the indices of those whose candidate event falls before
+    t_end, writes the finished ones straight into ``ens`` (partitions own
+    disjoint slices) and gathers the rest.  Returns (accepted collisions,
+    rounds).
     """
     p = ens.params
     j = drift(p, eps)
@@ -181,13 +193,20 @@ def _advance_partition(ens: ParticleEnsemble, sl: slice, g, dt_macro: float,
     pcd = post_collision_density(p)
     length = p.domain_length
     t_end = ens.time + dt_macro
+    # <v>**0.0 == 1.0 exactly, so with beta = 0 every rate is rate_scale
+    flat_rate = p.beta == 0.0
+    # nu_mean * (1 + 0.0 * cos) == nu_mean exactly, so with delta = 0 the
+    # thinning threshold is one number
+    nu_flat = p.nu0_mean if p.nu0_delta == 0.0 else None
 
-    # views of the partition's slice: the first round rebinds them to
-    # compacted copies, and only settled particles are written back
+    # views of the partition's slice: x is rebound to each round's flight
+    # buffer, v to gathered copies or fresh draws, and settled particles are
+    # written back (a new velocity may land in the slice before its particle
+    # settles; settling writes the same value)
     x, v = ens.positions[sl], ens.velocities[sl]
     t = np.full(x.shape, ens.time)
     index = np.arange(sl.start, sl.stop)
-    rate = rate_scale * vel_bracket(v) ** p.beta
+    rate = rate_scale if flat_rate else rate_scale * vel_bracket(v) ** p.beta
     peak = _finite_peak(rate, 0, t)
     # a particle's candidate events are Poisson with mean rate*dt_macro, and
     # the fastest initial particle bounds the typical rate, so the last
@@ -203,26 +222,41 @@ def _advance_partition(ens: ParticleEnsemble, sl: slice, g, dt_macro: float,
                 f"t={float(t.min()):.6g})"
             )
         rounds += 1
-        t_cand = t + g.exponential(size=index.size) / rate
-        flight = np.minimum(t_cand, t_end) - t
-        x = np.mod(x + speed_scale * (v - j) * flight, length)
-        collide = t_cand < t_end
+        # t + e / rate and x + speed_scale * (v - j) * flight, evaluated in
+        # place in that order
+        t_cand = g.exponential(size=index.size)
+        t_cand /= rate
+        t_cand += t
+        flight = np.minimum(t_cand, t_end)
+        flight -= t
+        move = v - j
+        move *= speed_scale
+        move *= flight
         del flight
+        move += x
+        x = _wrap(move, length)
 
-        # settle finished particles, then compact the live ones one array at
+        # settle finished particles, then gather the live ones one array at
         # a time, so each old array is freed before the next copy
-        done = ~collide
-        ens.positions[index[done]] = x[done]
-        ens.velocities[index[done]] = v[done]
-        index = index[collide]
-        x = x[collide]
-        v = v[collide]
-        rate = rate[collide]
-        t = t_cand[collide]
-        del t_cand
+        collide = t_cand < t_end
+        live = np.flatnonzero(collide)
+        if live.size < index.size:
+            done = np.flatnonzero(np.logical_not(collide, out=collide))
+            settled = index.take(done)
+            ens.positions[settled] = x.take(done)
+            ens.velocities[settled] = v.take(done)
+            index = index.take(live)
+            x = x.take(live)
+            v = v.take(live)
+            if not flat_rate:
+                rate = rate.take(live)
+            t_cand = t_cand.take(live)
+        t = t_cand
 
         # thinning acceptance at candidate events
-        accept = g.random(index.size) * p.nu2 < nu0(p, x)
+        thinning = g.random(index.size)
+        thinning *= p.nu2
+        accept = thinning < (nu0(p, x) if nu_flat is None else nu_flat)
         n_acc = int(np.count_nonzero(accept))
         if n_acc:
             with np.errstate(over="ignore"):   # counted below
@@ -234,10 +268,18 @@ def _advance_partition(ens: ParticleEnsemble, sl: slice, g, dt_macro: float,
                     f"post-collision velocity draws overflow the double range "
                     f"at round {rounds}, t={float(t[accept][overflowed].min()):.6g} "
                     f"(tail exponent alpha={p.alpha:g})")
-            rate_new = rate_scale * vel_bracket(v_new) ** p.beta
-            _finite_peak(rate_new, rounds, t)
-            v[accept] = v_new
-            rate[accept] = rate_new
+            if not flat_rate:
+                rate_new = rate_scale * vel_bracket(v_new) ** p.beta
+                _finite_peak(rate_new, rounds, t)
+            if n_acc == index.size:     # all accepted, the rule when delta = 0
+                v = v_new
+                if not flat_rate:
+                    rate = rate_new
+            else:
+                hit = np.flatnonzero(accept)
+                v[hit] = v_new
+                if not flat_rate:
+                    rate[hit] = rate_new
             accepted += n_acc
 
     # a finite but huge velocity can still overflow its flight to inf, which
@@ -250,6 +292,24 @@ def _advance_partition(ens: ParticleEnsemble, sl: slice, g, dt_macro: float,
             f"(largest |v| {float(np.max(np.abs(ens.velocities[sl]))):.3g})"
         )
     return accepted, rounds
+
+
+def _wrap(a: np.ndarray, length: float) -> np.ndarray:
+    """``np.mod(a, length)`` in place, bit for bit for length > 0, except that
+    a remainder rounding up to ``length`` (a tiny negative ``a``) folds to
+    0.0, so every finite result lies in [0, length).  Non-finite ``a`` gives
+    NaN, as in ``np.mod``, without its warning.  Only the elements outside
+    [0, length) take the ``fmod``; the rest are their own remainder."""
+    out = np.flatnonzero((a < 0.0) | (a >= length))
+    if out.size:
+        r = a.take(out)
+        with np.errstate(invalid="ignore"):
+            np.fmod(r, length, out=r)
+        np.add(r, length, out=r, where=r < 0.0)
+        r[r == length] = 0.0
+        a[out] = r
+    a += 0.0    # -0.0 to +0.0
+    return a
 
 
 def _finite_peak(rate, rounds: int, t: np.ndarray) -> float:

@@ -256,27 +256,39 @@ class PiecewiseHeavyTailDensity:
         return out if out.ndim else float(out)
 
     def ppf(self, u):
-        """Exact inverse cdf; maps the tail-mass break points to -1/+1 exactly."""
+        """Exact inverse cdf; maps the tail-mass break points to -1/+1 exactly.
+
+        The core root is evaluated at every u, then the tail u are
+        overwritten; a scalar u gives a float.
+        """
         u = np.asarray(u, dtype=float)
+        uf = u.ravel()
         tm = self.side_tail_mass
-        out = np.empty_like(u)
-        lo = u < tm
-        hi = u > 1.0 - tm
-        mid = ~(lo | hi)
-        out[lo] = -((u[lo] / tm) ** (-1.0 / self.tail_exp))
-        out[hi] = ((1.0 - u[hi]) / tm) ** (-1.0 / self.tail_exp)
         # Core: solve (H a/2) v^2 + H v + H(1 - a/2) - (u - tm) = 0 for the
         # root in [-1, 1], written in the cancellation-free form that also
-        # covers a = 0.
+        # covers a = 0: -2 c0 / (h + sqrt(h h - 2 h a c0)) with
+        # c0 = h (1 - a/2) - (u - tm), evaluated in place in that order.
+        # Tail u may take the square root of a negative.
         h, a = self.core_height, self.core_asym
-        c0 = h * (1.0 - 0.5 * a) - (u[mid] - tm)
-        out[mid] = -2.0 * c0 / (h + np.sqrt(h * h - 2.0 * h * a * c0))
-        return out if out.ndim else float(out)
+        out = uf - tm
+        np.subtract(h * (1.0 - 0.5 * a), out, out=out)
+        root = out * (2.0 * h * a)
+        np.subtract(h * h, root, out=root)
+        with np.errstate(invalid="ignore"):
+            np.sqrt(root, out=root)
+        root += h
+        out *= -2.0
+        out /= root
+        lo = np.flatnonzero(uf < tm)
+        hi = np.flatnonzero(uf > 1.0 - tm)
+        out[lo] = -((uf.take(lo) / tm) ** (-1.0 / self.tail_exp))
+        out[hi] = ((1.0 - uf.take(hi)) / tm) ** (-1.0 / self.tail_exp)
+        return out.reshape(u.shape) if u.ndim else float(out[0])
 
     def sample(self, rng: np.random.Generator, size=None):
-        u = rng.random(size)
+        u = np.asarray(rng.random(size))
         # rng.random() can return exactly 0.0, which the left tail maps to -inf.
-        u = np.maximum(u, np.finfo(float).tiny)
+        np.maximum(u, np.finfo(float).tiny, out=u)
         return self.ppf(u)
 
 

@@ -50,6 +50,24 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     return float(max(up, down))
 
 
+def ppf_by_branch(density, u):
+    """Inverse cdf of a ``PiecewiseHeavyTailDensity``, one boolean mask per
+    branch: each of the two tails and the core is evaluated only at its own
+    u.  A route apart from ``ppf``'s one pass over all u."""
+    u = np.asarray(u, dtype=float)
+    tm = density.side_tail_mass
+    out = np.empty_like(u)
+    lo = u < tm
+    hi = u > 1.0 - tm
+    mid = ~(lo | hi)
+    out[lo] = -((u[lo] / tm) ** (-1.0 / density.tail_exp))
+    out[hi] = ((1.0 - u[hi]) / tm) ** (-1.0 / density.tail_exp)
+    h, a = density.core_height, density.core_asym
+    c0 = h * (1.0 - 0.5 * a) - (u[mid] - tm)
+    out[mid] = -2.0 * c0 / (h + np.sqrt(h * h - 2.0 * h * a * c0))
+    return out if out.ndim else float(out)
+
+
 @st.composite
 def model_params_st(draw, allow_asym: bool = True, allow_modulation: bool = True):
     """Hypothesis strategy over valid ModelParams."""

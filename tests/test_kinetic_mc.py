@@ -206,7 +206,10 @@ def _round_loop_advance(ens, dt_macro, eps):
     ModelParams(alpha=1.5, beta=0.25, kappa=0.2, core_asym=0.5,
                 nu0_delta=0.3),                                   # thinning
     ModelParams(alpha=1.2, beta=-0.3, kappa=0.3, core_asym=-0.7),  # drift
-], ids=["flat", "modulated", "drift"])
+    ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.5),   # default
+    ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.5,
+                nu0_delta=0.3),                                   # flat, thinning
+], ids=["flat", "modulated", "drift", "default", "flat-modulated"])
 def test_advance_matches_round_loop_bitwise(params, partitions):
     ens = init_ensemble(params, n=3_001, seed=17, partitions=partitions)
     ref = init_ensemble(params, n=3_001, seed=17, partitions=partitions)
@@ -218,6 +221,29 @@ def test_advance_matches_round_loop_bitwise(params, partitions):
         assert ens.collision_count == ref.collision_count
         assert ens.time == ref.time
     assert ens.collision_count > 0 and ens.advance_rounds > 1
+
+
+def test_wrap_is_mod_except_at_length():
+    # np.mod's result, bit for bit, except that the remainders it rounds up
+    # to L itself (tiny negative inputs) wrap to 0.0
+    L = 20.0
+    tiny = np.finfo(float).tiny
+    a = np.concatenate([
+        np.random.default_rng(3).standard_normal(1_000_000) * 3 * L,
+        [0.0, -0.0, L, -L, 2 * L, -2 * L, np.inf, -np.inf, np.nan,
+         1e308, -1e308, 5e-324, -5e-324, tiny, -tiny, tiny / 4, -tiny / 4,
+         -1e-17, 1e-17, L - 1e-15, -(L - 1e-15)],
+    ])
+    with np.errstate(invalid="ignore"):
+        ref = np.mod(a, L)
+    got = kinetic_mc._wrap(a.copy(), L)
+    at_length = ref == L
+    assert np.count_nonzero(at_length) >= 3    # -5e-324, -tiny / 4, -1e-17
+    assert np.all(got[at_length] == 0.0) and not np.any(np.signbit(got[at_length]))
+    assert np.array_equal(got[~at_length].view(np.int64),
+                          ref[~at_length].view(np.int64))
+    finite = np.isfinite(a)
+    assert np.all((got[finite] >= 0.0) & (got[finite] < L))
 
 
 def test_partition_results_independent_of_worker_count(asym_params,

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from heavykin import ModelParams, ValidationError
 from heavykin import model as m
-from oracles import integral_interval, integral_real_line, ks_statistic, model_params_st
+from oracles import (
+    integral_interval,
+    integral_real_line,
+    ks_statistic,
+    model_params_st,
+    ppf_by_branch,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +173,29 @@ def test_ppf_hits_break_points(asym_params):
     tm = feq.side_tail_mass
     assert feq.ppf(tm) == pytest.approx(-1.0, abs=1e-14)
     assert feq.ppf(1.0 - tm) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.5),
+    ModelParams(alpha=0.8, beta=0.25, kappa=0.3, core_asym=-0.7),
+], ids=["default", "degenerate"])
+@pytest.mark.parametrize("density", [m.equilibrium, m.post_collision_density],
+                         ids=["F", "p"])
+def test_ppf_matches_branch_oracle_bitwise(params, density):
+    dens = density(params)
+    tm = dens.side_tail_mass
+    u = np.concatenate([
+        np.random.default_rng(7).random(100_000),
+        [tm, 1.0 - tm, np.finfo(float).tiny, 1.0 - 2.0**-53],
+    ])
+    with np.errstate(over="ignore"):    # the degenerate tails at tiny u
+        ref = ppf_by_branch(dens, u)
+        assert np.array_equal(dens.ppf(u), ref)
+        assert np.array_equal(dens.ppf(u.reshape(4, -1).T),
+                              ref.reshape(4, -1).T)
+    for scalar in (tm, 0.5, 1.0 - tm, 1.0 - 2.0**-53):
+        v = dens.ppf(scalar)
+        assert type(v) is float and v == ppf_by_branch(dens, scalar)
 
 
 def test_tail_mass_beyond_matches_cdf(asym_params):
