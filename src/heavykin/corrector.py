@@ -16,9 +16,13 @@ free-flight ray:
 Substituting the cumulative hazard u = U(z) turns the weight into e^{-u}, so
 a Gauss-Laguerre rule converges spectrally.  The rule keeps only its nodes
 that carry weight (34 of 64).  U is inverted at each (x, v, node) by a
-Newton iteration that starts from one average-rate step, keeps its own
+Newton iteration (closed form when the frequency modulation is off).  For
+vt != 0, U(z) = (Phi(x + vt z) - Phi(x))/vt with Phi the primitive of nu0,
+so each element starts from (Phi^-1(Phi(x) + vt u) - x)/vt, read from a
+cubic Hermite table of Phi^-1 over one period; the iteration keeps its own
 bracket [u/nu2, u/nu1], bisects when a step would leave it, and stops per
-element (closed form when the frequency modulation is off).  The inversion
+element once the residual |U(z) - u| meets its tolerance.  That residual
+test alone judges convergence: the table only saves rounds.  The inversion
 depends on (x, v, eps) only, so U is inverted once per (grid, eps).  Every
 probe is separable, phi(t, x) = a(t) s(x), and the
 flight average acts on x only, so chi = a(t) <s>, d_t chi = a'(t) <s> and
@@ -327,27 +331,98 @@ def _flight_shift(params: ModelParams, v, eps: float):
 
 
 _BLOCK = 16384   # elements per inversion block: its few arrays stay in cache
+_TABLE = 2048    # intervals of the tabulated inverse primitive over one period
+
+
+def _primitive(nu_mean: float, delta: float, length: float, y):
+    """Phi(y) = int_0^y nu0 = nu_mean (y + (delta/sigma) sin(sigma y)), with
+    sigma = 2 pi / L.  Phi' = nu0 >= nu1 > 0 and Phi(y + L) = Phi(y) +
+    nu_mean L; for vt != 0 the hazard is U(z) = (Phi(x + vt z) - Phi(x))/vt."""
+    sigma = 2.0 * np.pi / length
+    return nu_mean * (y + (delta / sigma) * np.sin(sigma * y))
+
+
+@lru_cache(maxsize=8)
+def _inverse_primitive(nu_mean: float, delta: float, length: float):
+    """Cubic Hermite table of Phi^-1 over one period, W in [0, nu_mean L].
+
+    The node values solve Phi(y) = W by bisection inside y in W/nu_mean +/-
+    delta/sigma (where |Phi(y)/nu_mean - y| <= delta/sigma puts the root),
+    and the slopes are 1/nu0 there.  Returns the coefficients (c0, c1, c2,
+    c3) of each interval's cubic in the local variable t in [0, 1]; they
+    are shared by every caller and thread, hence read-only.
+    """
+    sigma = 2.0 * np.pi / length
+    w = np.linspace(0.0, nu_mean * length, _TABLE + 1)
+    lo, hi = w / nu_mean - delta / sigma, w / nu_mean + delta / sigma
+    for _ in range(64):   # a width <= L/pi closes to 2^-64 L/pi
+        mid = 0.5 * (lo + hi)
+        above = _primitive(nu_mean, delta, length, mid) > w
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    y = 0.5 * (lo + hi)
+    # dy/dt = h / nu0(y) for the interval width h in W
+    m = (length / _TABLE) / (1.0 + delta * np.cos(sigma * y))
+    dy = np.diff(y)
+    coeffs = (y[:-1], m[:-1], 3.0 * dy - 2.0 * m[:-1] - m[1:],
+              m[:-1] + m[1:] - 2.0 * dy)
+    for c in coeffs:
+        c.flags.writeable = False
+    return coeffs
+
+
+def _table_start(params: ModelParams, x, vt, u, phi_x):
+    """Start of the hazard inversion: z = (Phi^-1(Phi(x) + vt u) - x) / vt
+    read from the table, and z = u / nu0(x) where vt = 0.
+
+    The table index is clamped into range, so a huge or non-finite W reads
+    a valid interval and returns a poor or NaN start, never an IndexError;
+    the caller's bracket repairs it.
+    """
+    c0, c1, c2, c3 = _inverse_primitive(params.nu0_mean, params.nu0_delta,
+                                        params.domain_length)
+    with np.errstate(all="ignore"):
+        f = (phi_x + vt * u) * (1.0 / (params.nu0_mean * params.domain_length))
+        periods = np.floor(f)
+        r = (f - periods) * _TABLE
+        k = np.fmin(np.fmax(r, 0.0), _TABLE - 1).astype(np.intp)
+        t = r - k
+        # Horner in place: a block's temporaries are each 128 KiB
+        y = c3[k]
+        y *= t
+        y += c2[k]
+        y *= t
+        y += c1[k]
+        y *= t
+        y += c0[k]
+        y += periods * params.domain_length
+        y -= x
+        z = np.divide(y, vt, out=y)
+    rest = vt == 0.0
+    if rest.any():
+        z[rest] = u[rest] / nu0(params, x[rest])
+    return z
 
 
 def _invert_hazard(params: ModelParams, x, vt, u):
     """Solve U(z) = u for z >= 0, broadcasting over (x, vt, u).
 
     Closed form when the rate is flat.  Otherwise the elements are inverted
-    block by block by :func:`_newton_block`; an element that has not met
-    |U(z) - u| <= 1e-13 (1 + u) after 100 rounds raises
-    :class:`NumericError` naming the worst one, so an unconverged z is never
-    returned.
+    block by block by :func:`_newton_block`, with Phi(x) evaluated once on
+    x's own shape; an element that has not met |U(z) - u| <= 1e-13 (1 + u)
+    after 100 rounds raises :class:`NumericError` naming the worst one, so
+    an unconverged z is never returned.
     """
     if params.nu0_delta == 0.0:
         return u / params.nu0_mean + 0.0 * (x + vt)
+    phi_x = _primitive(params.nu0_mean, params.nu0_delta, params.domain_length, x)
     stuck = []
-    with np.nditer([x, vt, u, None],
+    with np.nditer([x, vt, u, phi_x, None],
                    flags=["external_loop", "buffered", "zerosize_ok"],
-                   op_flags=[["readonly"]] * 3 + [["writeonly", "allocate"]],
+                   op_flags=[["readonly"]] * 4 + [["writeonly", "allocate"]],
                    order="C", buffersize=_BLOCK) as it:
-        z = it.operands[3]
-        for xs, vts, us, zs in it:
-            zs[...], left = _newton_block(params, xs, vts, us)
+        z = it.operands[4]
+        for xs, vts, us, phis, zs in it:
+            zs[...], left = _newton_block(params, xs, vts, us, phis)
             if left is not None:
                 stuck.append(left)
     if stuck:
@@ -361,21 +436,23 @@ def _invert_hazard(params: ModelParams, x, vt, u):
     return z
 
 
-def _newton_block(params: ModelParams, x, vt, u):
+def _newton_block(params: ModelParams, x, vt, u, phi_x):
     """Bracketed Newton iteration on one block of elements (1-D arrays).
 
     U' = nu0 in [nu1, nu2] brackets the root in [u/nu2, u/nu1].  Each element
-    starts from one average-rate step z0 u / U(z0) from z0 = u/nu0(x), keeps
-    its own bracket, takes the Newton step when it stays inside and bisects
-    otherwise, and leaves once its residual meets the tolerance.  Returns z
-    and, for the elements still short after 100 rounds, (x, vt, u, residual)
-    (None when every element converged).
+    starts from the tabulated root (:func:`_table_start`, from Phi(x) given
+    in ``phi_x``) moved into its bracket, keeps its own bracket, takes the
+    Newton step when it stays inside and bisects otherwise, and leaves once
+    its residual meets the tolerance: the start only saves rounds,
+    convergence is judged by the residual alone.  Returns z and, for the
+    elements still short after 100 rounds, (x, vt, u, residual) (None when
+    every element converged).
     """
     out = np.empty(u.shape)
     index = np.arange(u.size)
     lo, hi = u / params.nu2, u / params.nu1
-    z = u / nu0(params, x)
-    z = np.clip(z * u / nu0_integral(params, x, vt, z), lo, hi)
+    # fmax/fmin rather than clip: a NaN start lands on the bracket
+    z = np.fmin(np.fmax(_table_start(params, x, vt, u, phi_x), lo), hi)
     for _ in range(100):
         resid = nu0_integral(params, x, vt, z) - u
         done = np.abs(resid) <= 1e-13 * (1.0 + u)

@@ -14,7 +14,7 @@ from scipy.special import erfcx
 
 from heavykin import ModelParams, ValidationError
 from heavykin import corrector as co
-from heavykin.model import check_eps
+from heavykin.model import check_eps, nu0_integral
 
 
 def integral_real_line(fn, tol: float = 1e-13) -> float:
@@ -151,3 +151,20 @@ def gaussian_flight_average(nu: float, x, vt, center: float, width: float,
         q = (d + lam * width**2) / (width * np.sqrt(2.0))
         moving = lam * width * np.sqrt(0.5 * np.pi) * rest * erfcx(q)
     return np.where(vt == 0.0, rest, moving)
+
+
+def hazard_root_by_bisection(params: ModelParams, x, vt, u):
+    """z >= 0 with int_0^z nu0(x + vt s) ds = u, by plain bisection on the
+    closed-form hazard until the bracket [u/nu2, u/nu1] closes to adjacent
+    floats.  A route apart from the tabulated start and the Newton loop of
+    ``corrector._invert_hazard``; broadcasts over (x, vt, u)."""
+    x, vt, u = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, vt, u)))
+    lo, hi = u / params.nu2, u / params.nu1
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return np.where(np.abs(nu0_integral(params, x, vt, lo) - u)
+                            <= np.abs(nu0_integral(params, x, vt, hi) - u), lo, hi)
+        above = nu0_integral(params, x, vt, mid) > u
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)

@@ -236,9 +236,9 @@ def test_criterion_05_corrector_gap_ladder():
     phi = gaussian_packet(center=10.0, width=1.0)
     ladder = [0.2, 0.1, 0.05]
     # the velocity-degenerate rate makes each flight average iterative, so
-    # full-resolution quadrature costs minutes per rung; the decay is by
-    # factors of ~3 per rung and the bound has 2x headroom, so a coarser
-    # tensor rule decides both checks comfortably
+    # the full-resolution quadrature (the default knobs) costs ~0.2 s per
+    # rung; the decay is by factors of ~3 per rung and the bound has 2x
+    # headroom, so a coarser tensor rule decides both checks comfortably
     knobs = dict(nt=16, nxq=32, nv=257, nodes=48)
     diags = [chi_l2_diagnostics(params, phi, e, **knobs) for e in ladder]
     gaps = [d["gap"] for d in diags]

@@ -1,6 +1,7 @@
 """Corrector: probe catalogue, flight averages, gaps, remainder terms."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from heavykin import ModelParams, NumericError, ValidationError
 from heavykin import corrector as co
 from heavykin.config import parse_config
 from heavykin.grids import DiscreteModel, SpatialGrid, VelocityGrid, periodized_gaussian
-from heavykin.harness import run_sweep
+from heavykin.harness import build_grids, run_sweep
 from heavykin.kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from heavykin.model import drift, equilibrium_pdf, nu0, vel_bracket
 
-from oracles import chi_dt, gaussian_flight_average, plane_wave
+from oracles import (chi_dt, gaussian_flight_average, hazard_root_by_bisection,
+                     plane_wave)
 
 
 FLAT = ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.5)
@@ -133,6 +135,78 @@ def test_hazard_inversion_error_says_where(asym_params, monkeypatch):
             r"residual nan \(eps=0\.2\)")):
         co.chi_eval(asym_params, 0.0, x[:, None], np.array([-2.0, 0.0, 3.0]),
                     0.2, co.gaussian_packet())
+
+
+_HAZARD_VT = np.array([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1.0, -1.0, 1e6, -1e6])
+
+
+@pytest.mark.parametrize("nodes", [64, 128])
+@pytest.mark.parametrize("delta", [0.3, 0.9, 0.99])
+def test_hazard_inversion_matches_bisection_oracle(delta, nodes):
+    # x over five periods exercises the table's period reduction; the
+    # residual test accepts |U(z) - u| <= 1e-13 (1 + u) and U' >= nu1, so z
+    # is compared relative to the bracket scale (1 + u)/nu1
+    params = ModelParams(alpha=1.5, beta=0.0, kappa=0.2, nu0_delta=delta)
+    L = params.domain_length
+    x, vt, u = np.broadcast_arrays(np.linspace(-2.0 * L, 3.0 * L, 201)[:, None, None],
+                                   _HAZARD_VT[None, :, None],
+                                   co._laggauss(nodes)[0])
+    z = co._invert_hazard(params, x, vt, u)
+    ref = hazard_root_by_bisection(params, x, vt, u)
+    assert np.max(np.abs(z - ref) * params.nu1 / (1.0 + u)) <= 1e-12
+    # where the table is well conditioned (vt = 0 or |vt| >= 1) its start
+    # already lies in [u/nu2, u/nu1]; at tiny |vt| the bracket moves it there
+    calm = (vt == 0.0) | (np.abs(vt) >= 1.0)
+    x, vt, u = x[calm], vt[calm], u[calm]
+    start = co._table_start(params, x, vt, u, co._primitive(params.nu0_mean, delta, L, x))
+    assert np.all((u / params.nu2 <= start) & (start <= u / params.nu1))
+
+
+@pytest.mark.parametrize("x, vt", [(1e6, 0.7), (-1e6, -2.0), (3.0, 1e12),
+                                   (11.0, -1e12), (1e6, 1e12), (3.0, 5e-324),
+                                   (11.0, -5e-324)])
+def test_hazard_inversion_far_outside_the_table_period(asym_params, x, vt):
+    # huge |Phi(x) + vt u| reduces into the table with few digits left, and
+    # a subnormal vt overflows (y - x)/vt: the start is poor, but the loop
+    # still converges without a warning
+    u, _ = co._laggauss(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = co._invert_hazard(asym_params, x, vt, u)
+    resid = co.nu0_integral(asym_params, x, vt, z) - u
+    assert np.all(np.abs(resid) <= 1e-13 * (1.0 + u))
+
+
+def test_newton_block_repairs_non_finite_start(asym_params):
+    # a poisoned Phi(x) makes the table read an in-range interval and give a
+    # NaN or huge start; the bracket takes it, and the residual still decides
+    u, _ = co._laggauss(64)
+    for bad in (np.nan, np.inf, -np.inf, 1e300, -1e300):
+        x = np.full(u.size, 7.3)
+        vt = np.full(u.size, 0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, left = co._newton_block(asym_params, x, vt, u, np.full(u.size, bad))
+        assert left is None
+        resid = co.nu0_integral(asym_params, x, vt, z) - u
+        assert np.all(np.abs(resid) <= 1e-13 * (1.0 + u))
+
+
+def test_hazard_inversion_costs_about_one_residual_per_element(monkeypatch):
+    # the benchmark's degenerate sweep at its smallest rung: the tabulated
+    # start leaves ~1.1 hazard evaluations per element (5 from an
+    # average-rate start)
+    cfg = parse_config("model.alpha = 0.8\nmodel.beta = 0.25\n"
+                       "model.core_asym = 0.5\nmodel.nu0_delta = 0.3\n"
+                       "discretization.nx = 48\ndiscretization.nv = 49\n"
+                       "experiment.eps_list = 0.4, 0.2, 0.1, 0.05\n")
+    xgrid, vgrid = build_grids(cfg)
+    evaluated = []
+    hazard = co.nu0_integral
+    monkeypatch.setattr(co, "nu0_integral", lambda params, x, vt, z: (
+        evaluated.append(np.broadcast(x, vt, z).size) or hazard(params, x, vt, z)))
+    fl = co._flight(cfg.model, xgrid.centers[:, None], vgrid.v[None, :], 0.05)
+    assert sum(evaluated) / fl.z.size <= 1.5
 
 
 def test_laguerre_rule_drops_weightless_nodes():
