@@ -23,19 +23,23 @@ cubic Hermite table of Phi^-1 over one period; the iteration keeps its own
 bracket [u/nu2, u/nu1], bisects when a step would leave it, and stops per
 element once the residual |U(z) - u| meets its tolerance.  That residual
 test alone judges convergence: the table only saves rounds.  The inversion
-depends on (x, v, eps) only, so U is inverted once per (grid, eps).  Every
-probe is separable, phi(t, x) = a(t) s(x), and the
-flight average acts on x only, so chi = a(t) <s>, d_t chi = a'(t) <s> and
-d_x chi = a(t) <rate s + s'>: each diagnostic averages the space factor
-once per (grid, eps), and its time loop only scales by a(t).  The module
-evaluates chi, its x-derivative, the L2_F distance between chi and phi and
-its boundedness constant, the remainder terms of the weak formulation that
-must vanish with eps, and the pointwise generator integral whose limit is
-the nonlocal diffusion operator.
+depends on (x, v, eps) only, so each diagnostic inverts U once per call.
+Every probe is separable, phi(t, x) = a(t) s(x), and the flight average
+acts on x only, so chi = a(t) <s>, d_t chi = a'(t) <s> and d_x chi =
+a(t) <rate s + s'>: each diagnostic averages the space factor once per
+call, and its time loop only scales by a(t).  The three remainder terms of
+one sweep row go further inside :func:`one_flight`: one inversion for all
+three and one d_x chi for both drift terms, released when the row ends.
+The module evaluates chi, its x-derivative, the L2_F distance between chi
+and phi and its boundedness constant, the remainder terms of the weak
+formulation that must vanish with eps, and the pointwise generator integral
+whose limit is the nonlocal diffusion operator.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -71,6 +75,7 @@ __all__ = [
     "corrector_term_qplus",
     "corrector_term_drift_g",
     "corrector_term_drift_rho",
+    "one_flight",
     "operator_limit_lhs",
 ]
 
@@ -467,7 +472,11 @@ def _newton_block(params: ModelParams, x, vt, u, phi_x):
         above = resid > 0.0
         lo, hi = np.where(above, lo, z), np.where(above, z, hi)
         step = z - resid / nu0(params, x + vt * z)
-        z = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        # a step onto a bracket end is taken, since the root may sit there;
+        # a step that leaves z where it is would repeat the round, so it
+        # bisects instead
+        z = np.where((step >= lo) & (step <= hi) & (step != z), step,
+                     0.5 * (lo + hi))
     return out, (x, vt, u, resid)
 
 
@@ -676,9 +685,67 @@ def _snapshot_times(run, phi: ProbeFunction) -> np.ndarray:
     return times
 
 
+class _RowFlight:
+    """One run's flight geometry, and d_x chi / a(t) on it for one probe;
+    both are built on first use."""
+
+    def __init__(self, run) -> None:
+        self.run = run
+        self.flight: _Flight | None = None
+        self.probe: ProbeFunction | None = None
+        self.dchi: np.ndarray | None = None
+
+
+# the one_flight block open in this thread, if any
+_scope = threading.local()
+
+
+@contextmanager
+def one_flight(run):
+    """Share one flight geometry of ``run`` among the calls in the block.
+
+    Inside the block the remainder terms called on ``run`` read one hazard
+    inversion, and for one probe one d_x chi / a(t); calls on any other run
+    build their own as outside.  The geometry is dropped when the block
+    exits, by an exception too, so none of it outlives the block.
+    """
+    outer = getattr(_scope, "row", None)
+    _scope.row = _RowFlight(run)
+    try:
+        yield
+    finally:
+        _scope.row = outer
+
+
+def _row_of(run) -> _RowFlight | None:
+    row = getattr(_scope, "row", None)
+    return row if row is not None and row.run is run else None
+
+
 def _run_flight(run) -> _Flight:
-    """Flight geometry from every (cell centre, velocity node) of ``run``."""
-    return _flight(run.params, run.xgrid.centers[:, None], run.dvm.vgrid.v[None, :], run.eps)
+    """Flight geometry from every (cell centre, velocity node) of ``run``,
+    built once per :func:`one_flight` block on ``run``."""
+    row = _row_of(run)
+    if row is not None and row.flight is not None:
+        return row.flight
+    fl = _flight(run.params, run.xgrid.centers[:, None], run.dvm.vgrid.v[None, :], run.eps)
+    if row is not None:
+        row.flight = fl
+    return fl
+
+
+def _run_dchi(phi: ProbeFunction, run) -> np.ndarray:
+    """<rate s + s'> per (cell centre, velocity node) of ``run``: d_x chi
+    divided by a(t), which both drift remainders read; computed once per
+    :func:`one_flight` block on ``run`` for the probe ``phi``."""
+    row = _row_of(run)
+    if row is not None and row.dchi is not None and row.probe is phi:
+        return row.dchi
+    fl = _run_flight(run)
+    dchi = _dchi_space(phi.space, fl, _dx_rate(run.params, fl))
+    if row is not None:
+        row.probe, row.dchi = phi, dchi
+    return dchi
 
 
 def corrector_term_qplus(phi: ProbeFunction, run) -> float:
@@ -714,8 +781,7 @@ def corrector_term_drift_g(phi: ProbeFunction, run) -> float:
     wv = run.dvm.vgrid.weights
     # snapshots first: a run without them is refused before the flight
     gs = [run.g_snapshot(i) for i in range(times.size)]
-    fl = _run_flight(run)
-    dchi = _dchi_space(phi.space, fl, _dx_rate(params, fl))
+    dchi = _run_dchi(phi, run)
     vals = np.array([np.sum((g * dchi) @ wv) for g in gs])
     vals *= run.xgrid.dx * phi.time.value(times)
     return float(eps ** (1.0 - params.gamma) * j * _simpson(vals, times))
@@ -733,8 +799,7 @@ def corrector_term_drift_rho(phi: ProbeFunction, run) -> float:
         return 0.0
     times = _snapshot_times(run, phi)
     fw = run.dvm.vgrid.weights * run.dvm.f_eq
-    fl = _run_flight(run)
-    dchi = _dchi_space(phi.space, fl, _dx_rate(params, fl))
+    dchi = _run_dchi(phi, run)
     kernel = (dchi - phi.space.d1(run.xgrid.centers)[:, None]) @ fw
     vals = run.xgrid.dx * phi.time.value(times) * (np.asarray(run.rho) @ kernel)
     return float(eps ** (1.0 - params.gamma) * j * _simpson(vals, times))

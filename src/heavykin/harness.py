@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, config_dict
 from .corrector import (ProbeFunction, _probe_choice, corrector_term_drift_g,
-                        corrector_term_drift_rho, corrector_term_qplus)
+                        corrector_term_drift_rho, corrector_term_qplus,
+                        one_flight)
 from .errors import HeavykinError, NumericError, ValidationError
 from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid, \
     periodized_gaussian, snapshot_schedule
@@ -288,12 +289,16 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
         cfg.model, eps, xgrid=xgrid, vgrid=vgrid, t_final=cfg.t_final,
         snapshot_times=cfg.snapshot_times, scheme_order=cfg.scheme_order,
         cfl=cfg.cfl, store_phase=True)
+    with one_flight(run):   # the three remainders share one flight geometry
+        qplus = corrector_term_qplus(phi, run)
+        drift_g = corrector_term_drift_g(phi, run)
+        drift_rho = corrector_term_drift_rho(phi, run)
     row = {
         "eps": eps,
         "mass_err": float(np.max(np.abs(np.asarray(run.mass) - 1.0))),
-        "qplus_term": corrector_term_qplus(phi, run),
-        "drift_g_term": corrector_term_drift_g(phi, run),
-        "drift_rho_term": corrector_term_drift_rho(phi, run),
+        "qplus_term": qplus,
+        "drift_g_term": drift_g,
+        "drift_rho_term": drift_rho,
         "steps": run.steps,
         "dt_max": run.dt_max,
         "step_bound": run.step_bound,

@@ -192,6 +192,22 @@ def test_newton_block_repairs_non_finite_start(asym_params):
         assert np.all(np.abs(resid) <= 1e-13 * (1.0 + u))
 
 
+def test_newton_step_onto_the_bracket_end_is_taken(asym_params, monkeypatch):
+    # at x = -30 the rate is at its minimum nu1, so at tiny vt the root
+    # u/nu1 is the bracket's upper end: the Newton step lands on it and must
+    # be taken, not bisected towards for ~36 rounds
+    x, vt, u = np.array([-30.0]), np.array([1e-12]), np.array([0.118])
+    assert nu0(asym_params, x)[0] == asym_params.nu1
+    evaluated = []
+    hazard = co.nu0_integral
+    monkeypatch.setattr(co, "nu0_integral", lambda params, x, vt, z: (
+        evaluated.append(1) or hazard(params, x, vt, z)))
+    z = co._invert_hazard(asym_params, x, vt, u)
+    assert len(evaluated) <= 3
+    resid = hazard(asym_params, x, vt, z) - u
+    assert np.all(np.abs(resid) <= 1e-13 * (1.0 + u))
+
+
 def test_hazard_inversion_costs_about_one_residual_per_element(monkeypatch):
     # the benchmark's degenerate sweep at its smallest rung: the tabulated
     # start leaves ~1.1 hazard evaluations per element (5 from an

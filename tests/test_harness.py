@@ -7,14 +7,18 @@ wiring, report determinism, and the failure paths.
 """
 
 import dataclasses
+import gc
 import json
 import os
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import heavykin
+import heavykin.harness as harness_mod
+from heavykin import corrector as co
 from heavykin.config import (RunConfig, config_dict, default_config,
                              load_config, parse_config, serialize_config,
                              validate_config)
@@ -427,6 +431,127 @@ def test_workers_capped_by_rung_count(tiny_cfg, monkeypatch):
                     threads=8)
     assert started == [2]
     assert len({row["pid"] for row in rep.rows}) <= 2
+
+
+# ---------------------------------------------------------------------------
+# one flight geometry per sweep row
+# ---------------------------------------------------------------------------
+
+ROW_CFG_TEXT = """
+model.alpha = 1.5
+model.beta = 0.25
+model.core_asym = 0.5
+model.nu0_delta = 0.3
+discretization.nx = 24
+discretization.nv = 25
+experiment.eps_list = 0.4, 0.2, 0.1
+experiment.t_final = 0.2
+"""
+
+
+@pytest.fixture(scope="module")
+def row_cfg():
+    return parse_config(ROW_CFG_TEXT)
+
+
+def _row(cfg, phi=None):
+    xgrid, vgrid = build_grids(cfg)
+    return harness_mod._kinetic_row(cfg, cfg.eps_list[0], xgrid, vgrid,
+                                    phi or probe_from_choice(cfg))
+
+
+def test_row_inverts_the_hazard_once(row_cfg, monkeypatch):
+    # a drift config on a modulated rate: all three remainders need the flight
+    calls = []
+    invert = co._invert_hazard
+
+    def counting(*args):
+        calls.append(args)
+        return invert(*args)
+
+    monkeypatch.setattr(co, "_invert_hazard", counting)
+    row, run = _row(row_cfg)
+    assert row["drift_g_term"] != 0.0 and row["drift_rho_term"] != 0.0
+    assert len(calls) == 1
+
+
+def test_row_samples_the_space_factor_at_most_twice(row_cfg):
+    # s on the arrival points once for <s> in Q+ and once for d_x chi, which
+    # both drift terms share; s' once, for d_x chi
+    calls = {"value": 0, "d1": 0}
+
+    def counting(name, fn):
+        def wrapped(x):
+            if np.ndim(x) == 3:
+                calls[name] += 1
+            return fn(x)
+        return wrapped
+
+    base = probe_from_choice(row_cfg)
+    phi = dataclasses.replace(base, space=base.space._replace(
+        value=counting("value", base.space.value),
+        d1=counting("d1", base.space.d1)))
+    _row(row_cfg, phi)
+    assert calls == {"value": 2, "d1": 1}
+
+
+def test_row_remainders_equal_standalone_calls(row_cfg):
+    phi = probe_from_choice(row_cfg)
+    row, run = _row(row_cfg, phi)
+    assert row["qplus_term"] == corrector_term_qplus(phi, run)
+    assert row["drift_g_term"] == corrector_term_drift_g(phi, run)
+    assert row["drift_rho_term"] == corrector_term_drift_rho(phi, run)
+
+
+def test_row_recomputes_dchi_for_another_probe(row_cfg):
+    # d_x chi is kept for one probe only: a second probe in the same block
+    # must not read the first one's
+    phi = probe_from_choice(row_cfg)
+    other = dataclasses.replace(row_cfg, phi_choice="packet")
+    psi = probe_from_choice(other)
+    _, run = _row(row_cfg, phi)
+    alone = corrector_term_drift_g(psi, run), corrector_term_drift_rho(psi, run)
+    with co.one_flight(run):
+        corrector_term_drift_g(phi, run)
+        shared = (corrector_term_drift_g(psi, run),
+                  corrector_term_drift_rho(psi, run))
+    assert shared == alone
+    assert shared[0] != corrector_term_drift_g(phi, run)
+
+
+def test_row_keeps_no_reference_to_its_run(row_cfg):
+    phi = probe_from_choice(row_cfg)
+    _, run = _row(row_cfg, phi)
+    gone = weakref.ref(run)
+    del run
+    gc.collect()
+    assert gone() is None
+
+    _, run = _row(row_cfg, phi)
+    gone = weakref.ref(run)
+    with pytest.raises(RuntimeError, match="synthetic"):
+        with co.one_flight(run):
+            corrector_term_qplus(phi, run)
+            corrector_term_drift_g(phi, run)
+            raise RuntimeError("synthetic failure inside the row")
+    del run
+    gc.collect()
+    assert gone() is None
+
+
+def test_sweep_calls_the_three_remainder_names(tiny_cfg, monkeypatch):
+    # the benchmark times the remainders by wrapping these harness names
+    counts = {}
+    for name in ("corrector_term_qplus", "corrector_term_drift_g",
+                 "corrector_term_drift_rho"):
+        def counting(*args, _real=getattr(harness_mod, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(harness_mod, name, counting)
+    run_sweep(tiny_cfg, threads=1)
+    assert len(tiny_cfg.eps_list) == 3
+    assert counts == {"corrector_term_qplus": 3, "corrector_term_drift_g": 3,
+                      "corrector_term_drift_rho": 3}
 
 
 # ---------------------------------------------------------------------------
