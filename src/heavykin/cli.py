@@ -299,9 +299,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, parents=[common], help=help_text)
         if name == "sweep":
             cmd.add_argument("--threads", type=int, default=1, metavar="N",
-                             help="eps rungs run at once, in forked worker "
-                                  "processes (serially where the platform "
-                                  "cannot fork)")
+                             help="processes running eps rungs at once: "
+                                  "the caller plus N-1 forked workers "
+                                  "(serially where the platform cannot "
+                                  "fork)")
         if name == "kinetic-det":
             cmd.add_argument("--nx", type=int, metavar="N",
                              help="override discretization.nx")

@@ -142,13 +142,32 @@ def _constant_space(level: float) -> SpaceFactor:
 
 
 def _gaussian_space(center: float, width: float, amplitude: float) -> SpaceFactor:
+    # value and d1 run on every arrival point of a flight, so an array is
+    # evaluated in place, in the operation order of the 0-d expressions
+    # (whose results are numpy scalars, which take no out=)
     def value(x):
-        u = (np.asarray(x, dtype=float) - center) / width
-        return amplitude * np.exp(-0.5 * u * u)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            u = (x - center) / width
+            return amplitude * np.exp(-0.5 * u * u)
+        u = np.subtract(x, center)
+        u /= width
+        out = np.multiply(-0.5, u)
+        out *= u
+        np.exp(out, out=out)
+        out *= amplitude
+        return out
 
     def d1(x):
         x = np.asarray(x, dtype=float)
-        return value(x) * (-(x - center) / width**2)
+        if x.ndim == 0:
+            return value(x) * (-(x - center) / width**2)
+        slope = np.subtract(x, center)
+        np.negative(slope, out=slope)
+        slope /= width**2
+        out = value(x)
+        out *= slope
+        return out
 
     def d2(x):
         u = (np.asarray(x, dtype=float) - center) / width
@@ -460,14 +479,14 @@ def _newton_block(params: ModelParams, x, vt, u, phi_x):
     z = np.fmin(np.fmax(_table_start(params, x, vt, u, phi_x), lo), hi)
     for _ in range(100):
         resid = nu0_integral(params, x, vt, z) - u
-        done = np.abs(resid) <= 1e-13 * (1.0 + u)
-        out[index[done]] = z[done]
-        if done.all():
+        # every element is written; the unconverged are overwritten later
+        out[index] = z
+        live = np.flatnonzero(~(np.abs(resid) <= 1e-13 * (1.0 + u)))
+        if live.size == 0:
             return out, None
-        if done.any():
-            keep = ~done
+        if live.size < index.size:
             index, x, vt, u, z, resid, lo, hi = (
-                a[keep] for a in (index, x, vt, u, z, resid, lo, hi))
+                a.take(live) for a in (index, x, vt, u, z, resid, lo, hi))
         # U increases, so a positive residual puts z above the root
         above = resid > 0.0
         lo, hi = np.where(above, lo, z), np.where(above, z, hi)
@@ -511,7 +530,9 @@ def _flight(params: ModelParams, x, v, eps: float, nodes: int = 64) -> _Flight:
         Z = _invert_hazard(params, X, VT, u)
     except NumericError as exc:
         raise NumericError(f"{exc} (eps={eps:g})") from None
-    return _Flight(X, VT, Z, X + VT * Z, w)
+    pts = np.multiply(VT, Z)
+    pts += X
+    return _Flight(X, VT, Z, pts, w)
 
 
 def _dx_rate(params: ModelParams, fl: _Flight):

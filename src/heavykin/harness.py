@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing.connection import Pipe
 
 import numpy as np
 
@@ -311,37 +311,85 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
     return row, run
 
 
-# The row job of the sweep in progress, set in each forked worker by
-# _install_job: the job closes over the probe, whose factors are local
-# lambdas, so it reaches the workers by fork inheritance, not by pickling.
-_job = None
+def _deal(count: int, workers: int) -> list[list[int]]:
+    """Rung indices dealt into ``workers`` shares in snake order, starting
+    from the last (smallest, so longest) eps: each share runs its longest
+    rung first, and the shares' step totals come out close."""
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    for turn, i in enumerate(reversed(range(count))):
+        lap, seat = divmod(turn, workers)
+        shares[seat if lap % 2 == 0 else workers - 1 - seat].append(i)
+    return shares
 
 
-def _install_job(job) -> None:
-    global _job
-    _job = job
+def _run_share(job, eps_share: list[float], conn) -> None:
+    """A forked worker's body: its rows, or the exception that stopped it,
+    go back through ``conn``."""
+    try:
+        payload = (True, [job(e) for e in eps_share])
+    except Exception as exc:
+        payload = (False, exc)
+    conn.send(payload)
+    conn.close()
 
 
-def _run_job(eps: float):
-    return _job(eps)
+def _map_rungs(job, eps_list: list[float], workers: int, meanwhile):
+    """``([job(e) for e in eps_list], meanwhile())`` on up to ``workers``
+    processes, this one among them.
 
-
-def _map_rungs(job, eps_list: list[float], workers: int) -> list:
-    """``[job(e) for e in eps_list]``, on up to ``workers`` forked processes.
-
-    Only eps goes to a worker and only the job's result comes back pickled.
-    Where the platform cannot fork, the rungs run serially in this process.
+    The rungs are dealt by :func:`_deal`; every share but the last goes to
+    a forked process, which inherits the job (it closes over the probe,
+    whose factors are local lambdas, so it could not be pickled) and sends
+    back its pickled results.  This process runs the last share, then the
+    rung-independent ``meanwhile()`` while the workers finish.  A worker
+    that exits without reporting raises RuntimeError naming its eps; on any
+    exception the workers still running are terminated, and none outlives
+    the call.  Where the platform cannot fork, the rungs run serially here.
     A fork copies only the calling thread, so the sweep forks before
     mc_cross_check starts its particle threads.
     """
     workers = min(workers, len(eps_list))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [job(e) for e in eps_list]
-    with ProcessPoolExecutor(workers,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_install_job,
-                             initargs=(job,)) as pool:
-        return list(pool.map(_run_job, eps_list))
+        return [job(e) for e in eps_list], meanwhile()
+    ctx = multiprocessing.get_context("fork")
+    results: list = [None] * len(eps_list)
+    *forked, own = _deal(len(eps_list), workers)
+    children = []
+    try:
+        for share in forked:
+            recv, send = Pipe(duplex=False)
+            proc = ctx.Process(target=_run_share, daemon=True,
+                               args=(job, [eps_list[i] for i in share], send))
+            proc.start()
+            children.append((share, proc, recv))
+            send.close()   # so recv sees EOF once the worker is gone
+        for i in own:
+            results[i] = job(eps_list[i])
+        extra = meanwhile()
+        for share, proc, recv in children:
+            try:
+                ok, payload = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    "sweep worker for eps = "
+                    + ", ".join(f"{eps_list[i]:g}" for i in share)
+                    + f" exited with code {proc.exitcode} before reporting"
+                    ) from None
+            if not ok:
+                raise payload
+            for i, result in zip(share, payload):
+                results[i] = result
+        return results, extra
+    except BaseException:
+        for _, proc, _ in children:
+            if proc.is_alive():
+                proc.terminate()
+        raise
+    finally:
+        for _, proc, recv in children:
+            recv.close()
+            proc.join()
 
 
 def mc_cross_check(cfg: RunConfig, det_run: KineticRun,
@@ -383,10 +431,11 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
     solved once on the same grid; the report rows carry the terminal L^2
     errors, bound margins, remainder magnitudes and wall times, and the
     verdict list the named pass/fail checks.  With ``threads`` > 1 the
-    independent eps runs go to up to ``threads`` forked worker processes
-    (serially where the platform cannot fork); rows are merged in eps order
-    regardless.  A rung failing with a HeavykinError becomes an error row;
-    any other exception reaches the caller with its own type.
+    independent eps runs are shared among up to ``threads`` processes: this
+    one, which also solves the limit and checks coercivity, and forked
+    workers (serially where the platform cannot fork); rows are merged in
+    eps order regardless.  A rung failing with a HeavykinError becomes an
+    error row; any other exception reaches the caller with its own type.
     """
     eps_list = check_eps_ladder(cfg.eps_list)
     if snapshot_schedule(cfg.t_final, cfg.snapshot_times)[-1] < cfg.t_final - 1e-12:
@@ -400,18 +449,11 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
     rho0 = periodized_gaussian(xgrid)
     phi = probe_from_choice(cfg)
 
-    # Limiting equation: solved once, shared by every row.
+    # Limiting equation: assembled first, so a refused operator fails
+    # before any rung runs; solved once, shared by every row.
     macro_started = time.perf_counter()
     op = assemble(params, xgrid)
-    macro_run = solve_macro(op, DensityField(xgrid, rho0, provenance="initial"),
-                            cfg.t_final)
-    macro_final = macro_run.final()
-    macro = {
-        "nx": xgrid.nx,
-        "t_final": cfg.t_final,
-        "mass_err": float(abs(macro_run.masses()[-1] - 1.0)),
-        "wall_time": time.perf_counter() - macro_started,
-    }
+    assemble_s = time.perf_counter() - macro_started
 
     def job(e: float):
         try:
@@ -419,7 +461,22 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
         except HeavykinError as exc:
             return {"eps": e, "error": f"{type(exc).__name__}: {exc}"}, None
 
-    results = _map_rungs(job, eps_list, threads)
+    def rung_free():
+        # the work no rung needs, done while forked rungs finish
+        solve_started = time.perf_counter()
+        macro_run = solve_macro(
+            op, DensityField(xgrid, rho0, provenance="initial"), cfg.t_final)
+        macro = {
+            "nx": xgrid.nx,
+            "t_final": cfg.t_final,
+            "mass_err": float(abs(macro_run.masses()[-1] - 1.0)),
+            "wall_time": assemble_s + time.perf_counter() - solve_started,
+        }
+        return macro_run.final(), macro, \
+            check_coercivity(params, vgrid, 200, seed=cfg.seed)
+
+    results, (macro_final, macro, coercivity) = \
+        _map_rungs(job, eps_list, threads, rung_free)
 
     rows = []
     runs: list[KineticRun | None] = []
@@ -477,7 +534,7 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
             and ok_runs[0].times.size >= 3:
         verdicts.append(check_correctors(rows, params))
 
-    verdicts.append(check_coercivity(params, vgrid, 200, seed=cfg.seed))
+    verdicts.append(coercivity)
 
     if cfg.particles > 0 and runs[0] is not None:
         verdicts.append(mc_cross_check(cfg, runs[0]))

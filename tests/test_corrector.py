@@ -65,6 +65,24 @@ def test_probe_validation():
         plane_wave(0.0)
 
 
+def test_gaussian_space_in_place_equals_one_shot_formulas_bitwise(rng):
+    # value and d1 evaluate arrays in place; the results must be the
+    # one-shot expressions bit for bit, down to the underflowing far tail
+    center, width, amplitude = 10.0, 1.3, 0.7
+    space = co._gaussian_space(center, width, amplitude)
+    grid = rng.uniform(-5.0, 25.0, (6, 5, 34))
+    grid[0, 0, :3] = center + width * np.array([37.5, -38.6, 40.0])
+    for x in (grid, 11.7, np.float64(-3.2)):
+        before = np.copy(x)
+        u = (np.asarray(x, dtype=float) - center) / width
+        value = amplitude * np.exp(-0.5 * u * u)
+        d1 = value * (-(np.asarray(x, dtype=float) - center) / width**2)
+        for got, want in ((space.value(x), value), (space.d1(x), d1)):
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+        assert np.array_equal(x, before)      # the input is not written
+
+
 # ---------------------------------------------------------------------------
 # chi evaluation
 # ---------------------------------------------------------------------------
@@ -190,6 +208,30 @@ def test_newton_block_repairs_non_finite_start(asym_params):
         assert left is None
         resid = co.nu0_integral(asym_params, x, vt, z) - u
         assert np.all(np.abs(resid) <= 1e-13 * (1.0 + u))
+
+
+def test_newton_block_compaction_keeps_converged_and_returns_stuck(asym_params,
+                                                                  monkeypatch):
+    # elements leave the block as they converge; those that never settle
+    # (x > 15) come back after 100 rounds with their own x, vt and u, and
+    # the rest carry the z of an undisturbed inversion, bit for bit
+    u, _ = co._laggauss(64)
+    x = np.repeat([3.0, 16.0, 7.0], u.size)
+    vt = np.tile(np.linspace(-2.0, 2.0, u.size), 3)
+    uu = np.tile(u, 3)
+    phi_x = co._primitive(asym_params.nu0_mean, asym_params.nu0_delta,
+                          asym_params.domain_length, x)
+    calm, left = co._newton_block(asym_params, x, vt, uu, phi_x)
+    assert left is None
+    hazard = co.nu0_integral
+    monkeypatch.setattr(co, "nu0_integral", lambda params, x, vt, z: np.where(
+        x > 15.0, np.nan, hazard(params, x, vt, z)))
+    z, left = co._newton_block(asym_params, x, vt, uu, phi_x)
+    settled = x <= 15.0
+    assert np.array_equal(z[settled], calm[settled])
+    sx, svt, su, resid = left
+    assert np.array_equal(sx, x[~settled]) and np.array_equal(svt, vt[~settled])
+    assert np.array_equal(su, uu[~settled]) and np.all(np.isnan(resid))
 
 
 def test_newton_step_onto_the_bracket_end_is_taken(asym_params, monkeypatch):

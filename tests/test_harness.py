@@ -6,12 +6,14 @@ suite.  What is checked here is plumbing: strict config round-trips, verdict
 wiring, report determinism, and the failure paths.
 """
 
+import contextlib
 import dataclasses
 import gc
 import json
+import multiprocessing
 import os
+import signal
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -374,10 +376,13 @@ def _fail_at(monkeypatch, eps, exc):
     monkeypatch.setattr(harness_mod, "run_kinetic_det", failing)
 
 
-def test_rungs_run_in_forked_workers(tiny_cfg, monkeypatch):
+def test_rungs_shared_between_caller_and_forked_workers(tiny_cfg, monkeypatch):
+    # the caller is one of the min(threads, rungs) processes on the rungs
     _tag_rows_with_pid(monkeypatch)
-    forked = run_sweep(tiny_cfg, threads=2)
-    assert all(row["pid"] != os.getpid() for row in forked.rows)
+    for threads, pids in ((2, 2), (4, 3)):
+        forked = run_sweep(tiny_cfg, threads=threads)
+        seen = {row["pid"] for row in forked.rows}
+        assert len(seen) == pids and os.getpid() in seen
     serial = run_sweep(tiny_cfg, threads=1)
     assert all(row["pid"] == os.getpid() for row in serial.rows)
     # the runs come back whole
@@ -385,15 +390,21 @@ def test_rungs_run_in_forked_workers(tiny_cfg, monkeypatch):
         assert np.array_equal(a.rho, b.rho) and a.steps == b.steps
 
 
-def test_rungs_run_serially_where_fork_is_missing(tiny_cfg, monkeypatch):
-    import heavykin.harness as harness_mod
+def test_rungs_dealt_in_snake_order_from_the_smallest_eps():
+    # eps decreases along the ladder, so the last index is the longest rung
+    assert harness_mod._deal(4, 2) == [[3, 0], [2, 1]]
+    assert harness_mod._deal(3, 2) == [[2], [1, 0]]
+    assert harness_mod._deal(7, 3) == [[6, 1, 0], [5, 2], [4, 3]]
+    assert harness_mod._deal(2, 2) == [[1], [0]]
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("no worker pool without fork")
+
+def test_rungs_run_serially_where_fork_is_missing(tiny_cfg, monkeypatch):
+    def no_context(*args, **kwargs):
+        raise AssertionError("no process context without fork")
 
     monkeypatch.setattr(harness_mod.multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
-    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness_mod.multiprocessing, "get_context", no_context)
     _tag_rows_with_pid(monkeypatch)
     rep = run_sweep(tiny_cfg, threads=2)
     assert [row["pid"] for row in rep.rows] == [os.getpid()] * 3
@@ -417,20 +428,84 @@ def test_foreign_rung_exception_keeps_its_type(tiny_cfg, monkeypatch):
 
 
 def test_workers_capped_by_rung_count(tiny_cfg, monkeypatch):
-    import heavykin.harness as harness_mod
     started = []
+    start = multiprocessing.get_context("fork").Process.start
 
-    class Recording(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def recording(self):
+        started.append(self)
+        start(self)
 
-    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start",
+                        recording)
     _tag_rows_with_pid(monkeypatch)
     rep = run_sweep(dataclasses.replace(tiny_cfg, eps_list=(0.4, 0.2)),
                     threads=8)
-    assert started == [2]
-    assert len({row["pid"] for row in rep.rows}) <= 2
+    # two rungs: one in a forked worker, one in the caller
+    assert len(started) == 1
+    assert {row["pid"] for row in rep.rows} == {os.getpid(), started[0].pid}
+
+
+def _raise_in(monkeypatch, where, exc):
+    # raise from the first rung run in the caller ("caller") or in a
+    # forked worker ("worker")
+    real = harness_mod.run_kinetic_det
+    caller = os.getpid()
+
+    def failing(params, e, **kwargs):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise exc
+        return real(params, e, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "run_kinetic_det", failing)
+
+
+def test_no_worker_outlives_the_sweep(tiny_cfg, monkeypatch):
+    run_sweep(tiny_cfg, threads=3)
+    assert multiprocessing.active_children() == []
+    with monkeypatch.context() as m:
+        _fail_at(m, 0.2, NumericError("synthetic error row"))
+        rep = run_sweep(tiny_cfg, threads=2)
+    assert "error" in rep.rows[1]
+    assert multiprocessing.active_children() == []
+    for where in ("caller", "worker"):
+        with monkeypatch.context() as m:
+            _raise_in(m, where, ZeroDivisionError(f"bug in the {where}"))
+            with pytest.raises(ZeroDivisionError, match=f"bug in the {where}"):
+                run_sweep(tiny_cfg, threads=2)
+        assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    # a sweep waiting on a worker that will never report fails the test
+    # instead of hanging it
+    def expire(signum, frame):
+        raise TimeoutError(f"sweep still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_worker_dying_without_report_raises_promptly(tiny_cfg, monkeypatch):
+    real = harness_mod._kinetic_row
+    caller = os.getpid()
+
+    def dying(cfg, eps, *args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(cfg, eps, *args)
+
+    monkeypatch.setattr(harness_mod, "_kinetic_row", dying)
+    with _deadline(30), pytest.raises(
+            RuntimeError, match=r"sweep worker for eps = 0\.1 exited with "
+                                r"code 3 before reporting"):
+        run_sweep(tiny_cfg, threads=2)
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
