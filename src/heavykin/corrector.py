@@ -28,8 +28,8 @@ Every probe is separable, phi(t, x) = a(t) s(x), and the flight average
 acts on x only, so chi = a(t) <s>, d_t chi = a'(t) <s> and d_x chi =
 a(t) <rate s + s'>: each diagnostic averages the space factor once per
 call, and its time loop only scales by a(t).  The three remainder terms of
-one sweep row go further inside :func:`one_flight`: one inversion for all
-three and one d_x chi for both drift terms, released when the row ends.
+one sweep row go further by sharing a :class:`RowFlight`: one inversion for
+all three and one d_x chi for both drift terms.
 The module evaluates chi, its x-derivative, the L2_F distance between chi
 and phi and its boundedness constant, the remainder terms of the weak
 formulation that must vanish with eps, and the pointwise generator integral
@@ -38,10 +38,8 @@ whose limit is the nonlocal diffusion operator.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -75,7 +73,8 @@ __all__ = [
     "corrector_term_qplus",
     "corrector_term_drift_g",
     "corrector_term_drift_rho",
-    "one_flight",
+    "RowFlight",
+    "check_probe_times",
     "operator_limit_lhs",
 ]
 
@@ -697,79 +696,54 @@ def _simpson(y, x) -> float:
     return float(total)
 
 
-def _snapshot_times(run, phi: ProbeFunction) -> np.ndarray:
-    times = np.asarray(run.times, dtype=float)
-    if phi.t_support[1] > times[-1] + 1e-12:
+def check_probe_times(phi: ProbeFunction, times) -> np.ndarray:
+    """``times`` as an array, once the probe's time support is known to lie
+    within [times[0], times[-1]]: the remainders integrate over the
+    snapshots only, so support outside them would be dropped silently."""
+    times = np.asarray(times, dtype=float)
+    t0, t1 = phi.t_support
+    if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
         raise ValidationError(
-            "probe time support extends past the stored snapshots"
-        )
+            f"probe time support [{t0:g}, {t1:g}] must lie within the "
+            f"snapshot times [{times[0]:g}, {times[-1]:g}]")
     return times
 
 
-class _RowFlight:
-    """One run's flight geometry, and d_x chi / a(t) on it for one probe;
-    both are built on first use."""
+class RowFlight:
+    """The flight geometry of every (cell centre, velocity node) of ``run``,
+    and d_x chi / a(t) on it for the probe ``phi``: what the three remainder
+    terms of one sweep row share when each is passed it as ``row``.  Each is
+    built on first use, so a row without drift never computes d_x chi; a
+    term called without a row builds its own."""
 
-    def __init__(self, run) -> None:
-        self.run = run
-        self.flight: _Flight | None = None
-        self.probe: ProbeFunction | None = None
-        self.dchi: np.ndarray | None = None
+    def __init__(self, phi: ProbeFunction, run) -> None:
+        self.phi, self.run = phi, run
 
+    @cached_property
+    def flight(self) -> _Flight:
+        run = self.run
+        return _flight(run.params, run.xgrid.centers[:, None],
+                       run.dvm.vgrid.v[None, :], run.eps)
 
-# the one_flight block open in this thread, if any
-_scope = threading.local()
-
-
-@contextmanager
-def one_flight(run):
-    """Share one flight geometry of ``run`` among the calls in the block.
-
-    Inside the block the remainder terms called on ``run`` read one hazard
-    inversion, and for one probe one d_x chi / a(t); calls on any other run
-    build their own as outside.  The geometry is dropped when the block
-    exits, by an exception too, so none of it outlives the block.
-    """
-    outer = getattr(_scope, "row", None)
-    _scope.row = _RowFlight(run)
-    try:
-        yield
-    finally:
-        _scope.row = outer
+    @cached_property
+    def dchi(self) -> np.ndarray:
+        """<rate s + s'>, which both drift remainders read."""
+        return _dchi_space(self.phi.space, self.flight,
+                           _dx_rate(self.run.params, self.flight))
 
 
-def _row_of(run) -> _RowFlight | None:
-    row = getattr(_scope, "row", None)
-    return row if row is not None and row.run is run else None
+def _row_for(phi: ProbeFunction, run, row: RowFlight | None) -> RowFlight:
+    """``row``, or a new one when it is None; a row of another probe or run
+    is refused."""
+    if row is None:
+        return RowFlight(phi, run)
+    if row.phi is not phi or row.run is not run:
+        raise ValidationError("row flight was built for another probe or run")
+    return row
 
 
-def _run_flight(run) -> _Flight:
-    """Flight geometry from every (cell centre, velocity node) of ``run``,
-    built once per :func:`one_flight` block on ``run``."""
-    row = _row_of(run)
-    if row is not None and row.flight is not None:
-        return row.flight
-    fl = _flight(run.params, run.xgrid.centers[:, None], run.dvm.vgrid.v[None, :], run.eps)
-    if row is not None:
-        row.flight = fl
-    return fl
-
-
-def _run_dchi(phi: ProbeFunction, run) -> np.ndarray:
-    """<rate s + s'> per (cell centre, velocity node) of ``run``: d_x chi
-    divided by a(t), which both drift remainders read; computed once per
-    :func:`one_flight` block on ``run`` for the probe ``phi``."""
-    row = _row_of(run)
-    if row is not None and row.dchi is not None and row.probe is phi:
-        return row.dchi
-    fl = _run_flight(run)
-    dchi = _dchi_space(phi.space, fl, _dx_rate(run.params, fl))
-    if row is not None:
-        row.probe, row.dchi = phi, dchi
-    return dchi
-
-
-def corrector_term_qplus(phi: ProbeFunction, run) -> float:
+def corrector_term_qplus(phi: ProbeFunction, run,
+                         row: RowFlight | None = None) -> float:
     """Gain-term remainder of the weak formulation.
 
     eps^-gamma int dt dx dv  Q+(g)(t,x,v) [chi(t,x,v) - phi(t,x)], where
@@ -778,13 +752,14 @@ def corrector_term_qplus(phi: ProbeFunction, run) -> float:
     moment sum against the t-independent kernel nu0 ((<s> - s) @ gain);
     time integration uses Simpson's rule on the stored snapshot times.
     """
+    row = _row_for(phi, run, row)
     params, eps = run.params, run.eps
-    times = _snapshot_times(run, phi)
+    times = check_probe_times(phi, run.times)
     centers = run.xgrid.centers
     gain = run.dvm.p_gain * run.dvm.vgrid.weights
     # snapshots first: a run without them is refused before the flight
     moments = [run.dvm.moment_beta(run.g_snapshot(i)) for i in range(times.size)]
-    fl = _run_flight(run)
+    fl = row.flight
     delta = fl.average(phi.space.value(fl.pts)) - phi.space.value(centers)[:, None]
     kernel = nu0(params, centers) * (delta @ gain)
     vals = np.array([kernel @ m for m in moments])
@@ -792,35 +767,39 @@ def corrector_term_qplus(phi: ProbeFunction, run) -> float:
     return float(eps ** (-params.gamma) * _simpson(vals, times))
 
 
-def corrector_term_drift_g(phi: ProbeFunction, run) -> float:
+def corrector_term_drift_g(phi: ProbeFunction, run,
+                           row: RowFlight | None = None) -> float:
     """Drift remainder against the deviation: eps^{1-gamma} j int dchi/dx g."""
+    row = _row_for(phi, run, row)
     params, eps = run.params, run.eps
+    times = check_probe_times(phi, run.times)
     j = drift(params, eps)
     if j == 0.0:
         return 0.0
-    times = _snapshot_times(run, phi)
     wv = run.dvm.vgrid.weights
     # snapshots first: a run without them is refused before the flight
     gs = [run.g_snapshot(i) for i in range(times.size)]
-    dchi = _run_dchi(phi, run)
+    dchi = row.dchi
     vals = np.array([np.sum((g * dchi) @ wv) for g in gs])
     vals *= run.xgrid.dx * phi.time.value(times)
     return float(eps ** (1.0 - params.gamma) * j * _simpson(vals, times))
 
 
-def corrector_term_drift_rho(phi: ProbeFunction, run) -> float:
+def corrector_term_drift_rho(phi: ProbeFunction, run,
+                             row: RowFlight | None = None) -> float:
     """Drift remainder against the local-equilibrium part.
 
     eps^{1-gamma} j int dt dx rho(t,x) int dv F(v) [dchi/dx - dphi/dx]; the
     v-integral is the t-independent kernel (<rate s + s'> - s') @ F.
     """
+    row = _row_for(phi, run, row)
     params, eps = run.params, run.eps
+    times = check_probe_times(phi, run.times)
     j = drift(params, eps)
     if j == 0.0:
         return 0.0
-    times = _snapshot_times(run, phi)
     fw = run.dvm.vgrid.weights * run.dvm.f_eq
-    dchi = _run_dchi(phi, run)
+    dchi = row.dchi
     kernel = (dchi - phi.space.d1(run.xgrid.centers)[:, None]) @ fw
     vals = run.xgrid.dx * phi.time.value(times) * (np.asarray(run.rho) @ kernel)
     return float(eps ** (1.0 - params.gamma) * j * _simpson(vals, times))

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, config_dict
-from .corrector import (ProbeFunction, _probe_choice, corrector_term_drift_g,
-                        corrector_term_drift_rho, corrector_term_qplus,
-                        one_flight)
+from .corrector import (ProbeFunction, RowFlight, _probe_choice,
+                        check_probe_times, corrector_term_drift_g,
+                        corrector_term_drift_rho, corrector_term_qplus)
 from .errors import HeavykinError, NumericError, ValidationError
 from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid, \
     periodized_gaussian, snapshot_schedule
@@ -289,10 +289,13 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
         cfg.model, eps, xgrid=xgrid, vgrid=vgrid, t_final=cfg.t_final,
         snapshot_times=cfg.snapshot_times, scheme_order=cfg.scheme_order,
         cfl=cfg.cfl, store_phase=True)
-    with one_flight(run):   # the three remainders share one flight geometry
-        qplus = corrector_term_qplus(phi, run)
-        drift_g = corrector_term_drift_g(phi, run)
-        drift_rho = corrector_term_drift_rho(phi, run)
+    shared = RowFlight(phi, run)   # one flight geometry for the three remainders
+    qplus = corrector_term_qplus(phi, run, shared)
+    drift_g = corrector_term_drift_g(phi, run, shared)
+    drift_rho = corrector_term_drift_rho(phi, run, shared)
+    # free the geometry before the row's small allocations land above it on
+    # the heap; kept to the return, it raises sweep-drift's peak RSS ~0.1 MB
+    del shared
     row = {
         "eps": eps,
         "mass_err": float(np.max(np.abs(np.asarray(run.mass) - 1.0))),
@@ -438,16 +441,18 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
     error row; any other exception reaches the caller with its own type.
     """
     eps_list = check_eps_ladder(cfg.eps_list)
-    if snapshot_schedule(cfg.t_final, cfg.snapshot_times)[-1] < cfg.t_final - 1e-12:
+    schedule = snapshot_schedule(cfg.t_final, cfg.snapshot_times)
+    if schedule[-1] < cfg.t_final - 1e-12:
         raise ValidationError("snapshot_times must end at t_final for the "
                               "terminal comparison")
+    phi = probe_from_choice(cfg)
+    check_probe_times(phi, schedule)   # every rung's remainders cover the probe
     if threads < 1:
         raise ValidationError("threads must be positive")
 
     params = cfg.model
     xgrid, vgrid = build_grids(cfg)
     rho0 = periodized_gaussian(xgrid)
-    phi = probe_from_choice(cfg)
 
     # Limiting equation: assembled first, so a refused operator fails
     # before any rung runs; solved once, shared by every row.

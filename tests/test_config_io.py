@@ -477,6 +477,17 @@ def test_cli_macro_solve_accepts_kinetic_det_schedule(tmp_path):
         macro["energies"], rtol=1e-13)
 
 
+def test_cli_sweep_refuses_schedule_starting_after_zero(tmp_path, capsys):
+    # the sweep's probe is supported on [0, t_final]: a schedule starting
+    # later would drop part of it from every remainder
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, TINY + "experiment.snapshot_times = 0.05, 0.1\n"
+                    f"output.dir = {out}\n")
+    assert main(["sweep", "--config", cfg, "--quiet"]) == 2
+    assert "probe time support" in capsys.readouterr().err
+    assert not out.exists()
+
+
 COMMANDS = ("model-info", "kinetic-det", "kinetic-mc", "chi-check", "kernel",
             "macro-solve", "limit-check", "sweep", "invariants")
 

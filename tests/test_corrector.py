@@ -598,6 +598,19 @@ def test_qplus_requires_probe_inside_run():
         co.corrector_term_qplus(phi, run)
 
 
+@pytest.mark.parametrize("params", [FLAT, SUBCRIT])
+def test_remainders_refuse_probe_starting_before_the_snapshots(params):
+    # snapshots from t = 0.2 on would drop the probe's support on [0, 0.2),
+    # with a drift or without one
+    run = _equilibrium_run(params, eps=0.3)
+    run.times = run.times + 0.2
+    phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    for term in (co.corrector_term_qplus, co.corrector_term_drift_g,
+                 co.corrector_term_drift_rho):
+        with pytest.raises(ValidationError, match=r"within the snapshot times"):
+            term(phi, run)
+
+
 def test_drift_terms_zero_for_subcritical_alpha():
     run = _equilibrium_run(SUBCRIT, eps=0.3)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))

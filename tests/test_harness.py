@@ -284,6 +284,21 @@ def test_sweep_input_validation(small_cfg):
         run_sweep(small_cfg, threads=0)
 
 
+def test_sweep_refuses_schedule_starting_after_the_probe(small_cfg,
+                                                         monkeypatch):
+    # the probe's support starts at 0; snapshots from later on would drop
+    # part of it from every remainder, so no rung may run
+    rows = []
+    monkeypatch.setattr(harness_mod, "_kinetic_row",
+                        lambda *args: rows.append(args))
+    t_final = small_cfg.t_final
+    bad = dataclasses.replace(small_cfg,
+                              snapshot_times=(0.4 * t_final, t_final))
+    with pytest.raises(ValidationError, match="probe time support"):
+        run_sweep(bad)
+    assert rows == []
+
+
 def test_single_eps_sweep_has_no_monotonicity_verdict():
     cfg = parse_config(
         "discretization.nx = 32\ndiscretization.nv = 33\n"
@@ -578,23 +593,20 @@ def test_row_remainders_equal_standalone_calls(row_cfg):
     assert row["drift_rho_term"] == corrector_term_drift_rho(phi, run)
 
 
-def test_row_recomputes_dchi_for_another_probe(row_cfg):
-    # d_x chi is kept for one probe only: a second probe in the same block
-    # must not read the first one's
+def test_row_of_another_probe_or_run_is_refused(row_cfg):
+    # a row's geometry and d_x chi belong to one (probe, run) pair
     phi = probe_from_choice(row_cfg)
-    other = dataclasses.replace(row_cfg, phi_choice="packet")
-    psi = probe_from_choice(other)
+    psi = probe_from_choice(dataclasses.replace(row_cfg, phi_choice="packet"))
     _, run = _row(row_cfg, phi)
-    alone = corrector_term_drift_g(psi, run), corrector_term_drift_rho(psi, run)
-    with co.one_flight(run):
-        corrector_term_drift_g(phi, run)
-        shared = (corrector_term_drift_g(psi, run),
-                  corrector_term_drift_rho(psi, run))
-    assert shared == alone
-    assert shared[0] != corrector_term_drift_g(phi, run)
+    _, other_run = _row(row_cfg, phi)
+    for row in (co.RowFlight(psi, run), co.RowFlight(phi, other_run)):
+        for term in (corrector_term_qplus, corrector_term_drift_g,
+                     corrector_term_drift_rho):
+            with pytest.raises(ValidationError, match="another probe or run"):
+                term(phi, run, row)
 
 
-def test_row_keeps_no_reference_to_its_run(row_cfg):
+def test_row_keeps_no_reference_to_its_run(row_cfg, monkeypatch):
     phi = probe_from_choice(row_cfg)
     _, run = _row(row_cfg, phi)
     gone = weakref.ref(run)
@@ -602,16 +614,44 @@ def test_row_keeps_no_reference_to_its_run(row_cfg):
     gc.collect()
     assert gone() is None
 
-    _, run = _row(row_cfg, phi)
-    gone = weakref.ref(run)
+    # a remainder failing inside the row leaves nothing behind either
+    runs = []
+
+    def failing(phi, run, row):
+        # Q+ has filled the row's flight geometry by now
+        runs.append(weakref.ref(run))
+        raise RuntimeError("synthetic failure inside the row")
+
+    monkeypatch.setattr(harness_mod, "corrector_term_drift_g", failing)
     with pytest.raises(RuntimeError, match="synthetic"):
-        with co.one_flight(run):
-            corrector_term_qplus(phi, run)
-            corrector_term_drift_g(phi, run)
-            raise RuntimeError("synthetic failure inside the row")
-    del run
+        _row(row_cfg, phi)
     gc.collect()
-    assert gone() is None
+    assert len(runs) == 1 and runs[0]() is None
+
+
+def test_drift_free_row_never_computes_dchi(monkeypatch):
+    # alpha < 1 has no drift: the row inverts the hazard once, for Q+, and
+    # never samples s' on the arrival points
+    cfg = parse_config(ROW_CFG_TEXT.replace("model.alpha = 1.5",
+                                            "model.alpha = 0.8"))
+    calls = []
+    invert = co._invert_hazard
+    monkeypatch.setattr(co, "_invert_hazard",
+                        lambda *args: calls.append(args) or invert(*args))
+    base = probe_from_choice(cfg)
+    d1_calls = []
+
+    def counting(x):
+        if np.ndim(x) == 3:
+            d1_calls.append(x)
+        return base.space.d1(x)
+
+    phi = dataclasses.replace(base, space=base.space._replace(d1=counting))
+    row, _ = _row(cfg, phi)
+    assert row["drift_g_term"] == row["drift_rho_term"] == 0.0
+    assert row["qplus_term"] != 0.0
+    assert len(calls) == 1
+    assert d1_calls == []
 
 
 def test_sweep_calls_the_three_remainder_names(tiny_cfg, monkeypatch):
