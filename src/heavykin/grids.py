@@ -90,6 +90,13 @@ class VelocityGrid:
         return self.vscale * (self.nv - 1)
 
 
+def _row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j values_j along the last axis, one dot product per
+    row: a row sums to the same bits alone or stacked with other rows,
+    which a matrix-vector product does not promise."""
+    return np.matmul(values[..., None, :], weights[:, None])[..., 0, 0][()]
+
+
 @dataclass(frozen=True)
 class DiscreteModel:
     """Weight-calibrated discrete velocity model on a VelocityGrid.
@@ -133,11 +140,11 @@ class DiscreteModel:
 
     def density(self, values: np.ndarray) -> np.ndarray:
         """rho = sum_j w_j f_j along the last axis."""
-        return values @ self.vgrid.weights
+        return _row_dot(values, self.vgrid.weights)
 
     def moment_beta(self, values: np.ndarray) -> np.ndarray:
         """m_beta(f) = sum_j w_j <v_j>^beta f_j along the last axis."""
-        return values @ (self.vgrid.weights * self.bracket_beta)
+        return _row_dot(values, self.vgrid.weights * self.bracket_beta)
 
     def collision_operator(self, x, values: np.ndarray) -> np.ndarray:
         """Q(f) = nu0(x) [p(v) m_beta(f) - <v>^beta f] on grid values.

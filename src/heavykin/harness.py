@@ -10,7 +10,6 @@ epsilon and disclosed in the metrics).
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -150,9 +149,38 @@ def check_apriori(run: KineticRun) -> Verdict:
     )
 
 
-# The four families of random states check_coercivity samples, in turn.
+# The four families of random states check_coercivity samples, in turn,
+# and how many samples it evaluates at once.
 _SAMPLE_KINDS = ("equilibrium times noise", "equilibrium multiple",
                  "sparse spikes", "modulated equilibrium")
+_COERCIVITY_BLOCK = 32
+
+
+def _coercivity_samples(params: ModelParams, vgrid: VelocityGrid,
+                        f_eq: np.ndarray, n_samples: int,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (n,) and states (n, nv) of check_coercivity's samples.
+
+    Sample i draws its x, then its state of kind ``_SAMPLE_KINDS[i % 4]``,
+    so the stream of draws is that of one sample after another.
+    """
+    nv = vgrid.nv
+    xs = np.empty(n_samples)
+    fs = np.zeros((n_samples, nv))
+    modulated = f_eq * (1.0 + 0.9 * np.sin(3.0 * vgrid.u))
+    for i, f in enumerate(fs):
+        xs[i] = rng.uniform(0.0, params.domain_length)
+        kind = i % 4
+        if kind == 0:
+            np.multiply(f_eq, rng.exponential(1.0, size=nv), out=f)
+        elif kind == 1:                                # exact kernel element
+            np.multiply(float(rng.exponential(1.0)), f_eq, out=f)
+        elif kind == 2:
+            idx = rng.integers(0, nv, size=int(rng.integers(1, 6)))
+            f[idx] = rng.exponential(1.0, size=idx.size)
+        else:
+            np.multiply(modulated, rng.exponential(1.0, size=nv), out=f)
+    return xs, fs
 
 
 def check_coercivity(params: ModelParams, vgrid: VelocityGrid,
@@ -163,56 +191,47 @@ def check_coercivity(params: ModelParams, vgrid: VelocityGrid,
     For random nonnegative densities f on ``vgrid`` and random positions x,
     checks  sum_v w Q(f) f / F  <=  -nu0(x)/(2M) ||f - rho F||^2_{L^2(<v>^b/F)}
     and the gain bound  ||Q+(f)/nu||^2_{L^2(nu/F)} <= ||f||^2_{L^2(nu/F)}.
+    The samples are stacked into an (n_samples, nv) array and evaluated
+    a block of rows at a time.
     A sample whose relative violation is not finite (a grid so wide that
     the weighted sums overflow) raises :class:`NumericError`.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be positive")
     dvm = DiscreteModel(params, vgrid)
-    nv = vgrid.nv
     m_const = coercivity_constant(params)
     w, b, f_eq = vgrid.weights, dvm.bracket_beta, dvm.f_eq
-    rng = np.random.default_rng(seed)
+    xs, fs = _coercivity_samples(params, vgrid, f_eq, n_samples,
+                                 np.random.default_rng(seed))
 
-    worst_gap = -np.inf
-    worst_gain = -np.inf
-    # overflowing sums are caught below, by the finiteness of each sample
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_samples):
-            x = float(rng.uniform(0.0, params.domain_length))
-            kind = i % 4
-            if kind == 0:
-                f = f_eq * rng.exponential(1.0, size=nv)
-            elif kind == 1:
-                f = float(rng.exponential(1.0)) * f_eq   # exact kernel element
-            elif kind == 2:
-                f = np.zeros(nv)
-                idx = rng.integers(0, nv, size=int(rng.integers(1, 6)))
-                f[idx] = rng.exponential(1.0, size=idx.size)
-            else:
-                f = f_eq * (1.0 + 0.9 * np.sin(3.0 * vgrid.u)) \
-                    * rng.exponential(1.0, size=nv)
+    gap, gain = np.empty(n_samples), np.empty(n_samples)
+    # Blocks of samples keep the temporaries small: a sweep checks
+    # coercivity last, on top of the memory its runs hold.  Sums that
+    # overflow, or divide by an f_eq underflowed to 0, are caught below, by
+    # the finiteness of each sample.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, n_samples, _COERCIVITY_BLOCK):
+            block = slice(lo, lo + _COERCIVITY_BLOCK)
+            x, f = xs[block], fs[block]
+            nu = nu0(params, x)
             q = dvm.collision_operator(x, f)
-            lhs = float(np.sum(w * q * f / f_eq))
-            rho = float(dvm.density(f))
-            defect = f - rho * f_eq
-            quad = float(nu0(params, x) * np.sum(w * b * defect ** 2 / f_eq))
-            rhs = -quad / (2.0 * m_const)
-            gap = (lhs - rhs) / (1.0 + abs(rhs))
-
-            # squared as a numpy scalar, which overflows to inf, not OverflowError
-            gain_sq = float(nu0(params, x)) * float(dvm.moment_beta(f) ** 2) \
-                / dvm.c_beta_disc
-            f_sq = float(nu0(params, x) * np.sum(w * b * f ** 2 / f_eq))
-            gain = (gain_sq - f_sq) / (1.0 + abs(f_sq))
-            for name, term in (("gap", gap), ("gain", gain)):
-                if not math.isfinite(term):
-                    raise NumericError(
-                        f"coercivity sample {i} ({_SAMPLE_KINDS[kind]}, "
-                        f"x={x:.6g}) has a non-finite {name} violation on "
-                        f"the velocity grid with vmax={vgrid.vmax:.3g}")
-            worst_gap = max(worst_gap, gap)
-            worst_gain = max(worst_gain, gain)
+            lhs = np.sum(w * q * f / f_eq, axis=1)
+            defect = f - dvm.density(f)[:, None] * f_eq
+            rhs = -(nu * np.sum(w * b * defect ** 2 / f_eq, axis=1)) \
+                / (2.0 * m_const)
+            gap[block] = (lhs - rhs) / (1.0 + np.abs(rhs))
+            gain_sq = nu * dvm.moment_beta(f) ** 2 / dvm.c_beta_disc
+            f_sq = nu * np.sum(w * b * f ** 2 / f_eq, axis=1)
+            gain[block] = (gain_sq - f_sq) / (1.0 + np.abs(f_sq))
+    finite = np.isfinite(gap) & np.isfinite(gain)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        name = "gap" if not np.isfinite(gap[i]) else "gain"
+        raise NumericError(
+            f"coercivity sample {i} ({_SAMPLE_KINDS[i % 4]}, "
+            f"x={xs[i]:.6g}) has a non-finite {name} violation on "
+            f"the velocity grid with vmax={vgrid.vmax:.3g}")
+    worst_gap, worst_gain = float(np.max(gap)), float(np.max(gain))
 
     passed = worst_gap <= tol and worst_gain <= tol
     return Verdict(

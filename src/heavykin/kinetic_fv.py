@@ -5,9 +5,12 @@ In macroscopic time the equation reads
     d_t f  =  - eps^(1-gamma) (v - j_eps) d_x f  +  eps^(-gamma) Q(f),
 
 discretized on a spatial torus times a compactified velocity grid with Strang
-splitting: half transport, full implicit collision, half transport.  The
-collision step exploits the rank-one gain and is solved in closed form per
-x-column, so the stiff rate nu/eps^gamma costs nothing in stability.
+splitting: half transport, full implicit collision, half transport.  Between
+two collisions the two half transports run as one transport of a full step,
+so a snapshot interval of n steps is T(h/2) [C(h) T(h)]^(n-1) C(h) T(h/2):
+the same splitting, with n + 1 transports instead of 2n.  The collision step
+exploits the rank-one gain and is solved in closed form per x-column, so the
+stiff rate nu/eps^gamma costs nothing in stability.
 """
 
 from __future__ import annotations
@@ -84,19 +87,27 @@ class PhaseField:
         return float(self.xgrid.dx * np.sum(self.values**2 * col[None, :]))
 
 
-def _plan(fld: PhaseField, kind: str, key: tuple, build):
+def _plan(fld: PhaseField, kind: str, key: tuple, build, slots: int = 1):
     """The step set-up of ``kind`` for ``key``, built on first use.
 
-    One slot per kind: a Strang run alternates one transport and one
-    collision step length per snapshot interval, so a new key replaces the
-    old plan instead of piling up.  The grid and the model are part of the
-    key, so a field given a new grid never reuses a stale plan.
+    Each kind keeps its ``slots`` most recently used plans.  A Strang run
+    uses one collision step length and two transport step lengths (h/2 and
+    h) per snapshot interval, so a new key replaces the least recently used
+    plan instead of piling up; the stale plan is freed before the new one is
+    built.  The grid and the model are part of the key, so a field given a
+    new grid never reuses a stale plan.
     """
     key = (key, fld.xgrid, fld.dvm)
-    cached = fld._plans.get(kind)
-    if cached is None or cached[0] != key:
-        cached = fld._plans[kind] = (key, build())
-    return cached[1]
+    cached = fld._plans.setdefault(kind, [])
+    for i, (known, plan) in enumerate(cached):
+        if known == key:
+            if i:
+                cached.insert(0, cached.pop(i))
+            return plan
+    del cached[slots - 1:]      # free the stale plan before building anew
+    plan = build()
+    cached.insert(0, (key, plan))
+    return plan
 
 
 @dataclass(frozen=True)
@@ -149,6 +160,28 @@ def _transport_speeds(params: ModelParams, eps: float,
 
 
 @dataclass(frozen=True)
+class _TransportScratch:
+    """Work arrays of transport_apply, shared by a field's transport plans:
+    the shifted field, the padded copies of f and of its differences, a cell
+    array, the limiter ratio and its mask, the fluxes."""
+
+    shifted: np.ndarray    # (nx, nv)
+    fpad: np.ndarray       # (nx + 3, nv)
+    dpad: np.ndarray       # (nx + 2, nv)
+    cells: np.ndarray      # (nx, nv)
+    ratio: np.ndarray      # (nx, nv)
+    nonzero: np.ndarray    # (nx, nv) bool
+    flux: np.ndarray       # (nx + 1, nv)
+
+    @classmethod
+    def empty(cls, nx: int, nv: int) -> "_TransportScratch":
+        return cls(np.empty((nx, nv)), np.empty((nx + 3, nv)),
+                   np.empty((nx + 2, nv)), np.empty((nx, nv)),
+                   np.empty((nx, nv)), np.empty((nx, nv), dtype=bool),
+                   np.empty((nx + 1, nv)))
+
+
+@dataclass(frozen=True)
 class _TransportPlan:
     order: int
     courant: float         # dt / dx
@@ -160,16 +193,7 @@ class _TransportPlan:
     upwind_f: np.ndarray   # flat indices of each cell's upwind value (order 2)
     shift: np.ndarray | None  # flat indices of each cell's value n_j whole
                               # cells upstream; None if every n_j is 0
-    # scratch reused by every step: the shifted field, the padded copies of f
-    # and of its differences, a cell array, the limiter ratio and its mask,
-    # the fluxes
-    shifted: np.ndarray    # (nx, nv)
-    fpad: np.ndarray       # (nx + 3, nv)
-    dpad: np.ndarray       # (nx + 2, nv)
-    cells: np.ndarray      # (nx, nv)
-    ratio: np.ndarray      # (nx, nv)
-    nonzero: np.ndarray    # (nx, nv) bool
-    flux: np.ndarray       # (nx + 1, nv)
+    scratch: _TransportScratch
 
 
 def _rows(nx: int, nv: int, shift: np.ndarray) -> np.ndarray:
@@ -207,18 +231,22 @@ def _transport_plan(fld: PhaseField, dt: float, eps: float,
     # fpad row i + 1 holds f_i and row i + 2 holds f_{i+1}.
     if scheme_order == 1:
         left = (c < 0.0).astype(np.intp)
-        coef, upwind, upwind_f = c, _rows(nx, nv, left), None
+        coef = c
     else:
         left = (speeds < 0.0).astype(np.intp)
         limiter = 0.5 * (1.0 - np.abs(c))
         coef = np.where(left == 1, -limiter, limiter)
-        upwind, upwind_f = _rows(nx, nv, 2 * left), _rows(nx, nv, 1 + left)
-    return _TransportPlan(
-        scheme_order, dt / dx, speeds, coef, upwind, upwind_f, shift,
-        shifted=np.empty((nx, nv)),
-        fpad=np.empty((nx + 3, nv)), dpad=np.empty((nx + 2, nv)),
-        cells=np.empty((nx, nv)), ratio=np.empty((nx, nv)),
-        nonzero=np.empty((nx, nv), dtype=bool), flux=np.empty((nx + 1, nv)))
+    scratch = _plan(fld, "transport scratch", (),
+                    lambda: _TransportScratch.empty(nx, nv))
+    # the h/2 and h plans of a run share these indices: their upwind sides
+    # differ only where a column of one moves by exactly whole cells
+    upwind, upwind_f = _plan(
+        fld, "upwind rows", (scheme_order, left.tobytes()),
+        lambda: ((_rows(nx, nv, left), None) if scheme_order == 1
+                 else (_rows(nx, nv, 2 * left), _rows(nx, nv, 1 + left))),
+        slots=2)
+    return _TransportPlan(scheme_order, dt / dx, speeds, coef, upwind,
+                          upwind_f, shift, scratch)
 
 
 def transport_apply(fld: PhaseField, dt: float, eps: float,
@@ -238,16 +266,17 @@ def transport_apply(fld: PhaseField, dt: float, eps: float,
     formula.
     """
     plan = _plan(fld, "transport", (dt, eps, scheme_order),
-                 lambda: _transport_plan(fld, dt, eps, scheme_order))
+                 lambda: _transport_plan(fld, dt, eps, scheme_order), slots=2)
+    work = plan.scratch
     f = fld.values
     if plan.shift is not None:
-        f = plan.shifted
+        f = work.shifted
         np.take(fld.values, plan.shift, out=f.reshape(-1), mode="clip")
     nx = f.shape[0]
     # periodic padding: fpad row r holds f_{r-1}, dpad row r f_r - f_{r-1}
-    fpad = np.concatenate((f[-1:], f, f[:2]), axis=0, out=plan.fpad)
-    dpad = np.subtract(fpad[1:], fpad[:-1], out=plan.dpad)
-    cells = plan.cells
+    fpad = np.concatenate((f[-1:], f, f[:2]), axis=0, out=work.fpad)
+    dpad = np.subtract(fpad[1:], fpad[:-1], out=work.dpad)
+    cells = work.cells
     np.take(dpad, plan.upwind, out=cells.reshape(-1), mode="clip")
     if plan.order == 1:
         # c >= 0: f_i - c (f_i - f_{i-1});  c < 0: f_i - c (f_{i+1} - f_i)
@@ -261,13 +290,13 @@ def transport_apply(fld: PhaseField, dt: float, eps: float,
     # with d_i = f_{i+1} - f_i and r the upwind difference over d_i (0 where
     # d_i vanishes); adding the negated slope equals subtracting it exactly.
     d = dpad[1:-1]
-    ratio = plan.ratio
+    ratio = work.ratio
     ratio.fill(0.0)
-    np.divide(cells, d, out=ratio, where=np.not_equal(d, 0.0, out=plan.nonzero))
+    np.divide(cells, d, out=ratio, where=np.not_equal(d, 0.0, out=work.nonzero))
     np.clip(ratio, 0.0, 1.0, out=ratio)
     slope = np.multiply(np.multiply(plan.coef, ratio, out=ratio), d, out=ratio)
     np.take(fpad, plan.upwind_f, out=cells.reshape(-1), mode="clip")
-    flux = plan.flux                # row r: the face flux of cell r - 1
+    flux = work.flux                # row r: the face flux of cell r - 1
     np.multiply(plan.speeds, np.add(cells, slope, out=cells), out=flux[1:])
     flux[0] = flux[nx]
     np.subtract(flux[1:], flux[:-1], out=cells)
@@ -279,17 +308,19 @@ def transport_apply(fld: PhaseField, dt: float, eps: float,
 # A run needing more CFL-bound steps than this has a velocity grid far wider
 # than its spatial grid can follow (the tail-mass vmax as alpha -> 0); it
 # fails at once.  A step may be longer than the CFL step, but this bound
-# keeps each half step's whole-cell shift |n| <= 1e7 cfl, so the fractional
-# Courant numbers keep about 9 digits.
+# keeps each transport's whole-cell shift |n| <= 2e7 cfl (a full step's), so
+# the fractional Courant numbers keep about 8 digits.
 _MAX_STEPS = 10**7
 
 # The largest collision number dt nu2 / eps^gamma of a step at cfl = 1.
 # Strang splitting with a backward-Euler collision is not
 # asymptotic-preserving, so the step must stay a fixed fraction of the
-# collision time eps^gamma / nu2 however fast the transport could go.  On
-# the 48x49 degenerate sweep and the 128x129 particle reference, a
-# collision number of 0.05 keeps every verdict; 0.1 loses the sweep's
-# macro-convergence and puts the particle check at 3.15 SE.
+# collision time eps^gamma / nu2 however fast the transport could go.  With
+# the fused transports, on the 48x49 degenerate sweep (seed 12345) and the
+# 128x129 particle reference (10^6 particles, seed 999): at 0.05 every
+# verdict holds (macro-convergence errors 1.32e-2 ... 3.40e-3, particle
+# check 2.79 SE); at 0.1 the sweep's verdicts still hold (last two errors
+# 3.74e-3, 3.61e-3) but the particle check fails at 3.02 SE.
 _COLLISION_NUMBER = 1.0 / 40.0
 
 
@@ -365,7 +396,10 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
     The step is the longer of the CFL step 2 dx / smax and the collision
     bound eps^gamma / (40 nu2), both times ``cfl``; transport takes any
     step, so the bound only keeps the splitting accurate.  Steps shorten to
-    land on each time of ``snapshot_schedule``.  Emits a warning
+    land on each time of ``snapshot_schedule``: an interval of n equal steps
+    h runs T(h/2) [C(h) T(h)]^(n-1) C(h) T(h/2), the half transports that
+    meet between two collisions fused into one, and ends on its snapshot.
+    Intervals whose steps agree to round-off share one h.  Emits a warning
     with the quantified tail-mass loss when the velocity grid misses either
     the critical scale eps^(-1/(1-beta)) or the 1e-3 tail-mass budget.
     """
@@ -398,9 +432,10 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
     fld = PhaseField.from_density(xgrid, dvm, periodized_gaussian(xgrid))
 
     _, smax = _transport_speeds(params, eps, vgrid.v)
-    # The CFL step applies to the half-step of length dt/2.  Transport is
-    # stable at any step, so the longer of the CFL step and the collision
-    # bound sets the step; cfl scales both.
+    # The CFL step bounds the end transports of length dt/2; the fused ones
+    # between collisions move up to 2 cfl cells.  Transport is stable at any
+    # step, so the longer of the CFL step and the collision bound sets the
+    # step; cfl scales both.
     cfl_dt = 2.0 * cfl * xgrid.dx / smax if smax > 0 else t_final
     collision_dt = cfl * _COLLISION_NUMBER * eps**params.gamma / params.nu2
     dt_max, step_bound = ((cfl_dt, "cfl") if cfl_dt >= collision_dt
@@ -437,16 +472,23 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
             phases.append(fld.values.copy())
 
     f0_norm2 = fld.fnorm2_finv()
-    t = 0.0
+    t = h = 0.0
     for target in snap:
         if target > t:   # a snapshot at t = 0 takes no step
             span = target - t
             nsteps = max(1, math.ceil(span / dt_max - 1e-12))
-            h = span / nsteps
-            for _ in range(nsteps):
-                transport_apply(fld, 0.5 * h, eps, scheme_order)
+            # spans equal up to round-off (a linspace schedule) keep one
+            # step length, so its collision and transport plans are reused
+            if not math.isclose(span / nsteps, h, rel_tol=1e-12):
+                h = span / nsteps
+            # T(h/2) [C(h) T(h)]^(nsteps-1) C(h) T(h/2): the two half
+            # transports between consecutive collisions run as one
+            transport_apply(fld, 0.5 * h, eps, scheme_order)
+            for _ in range(nsteps - 1):
                 collision_apply(fld, h, eps)
-                transport_apply(fld, 0.5 * h, eps, scheme_order)
+                transport_apply(fld, h, eps, scheme_order)
+            collision_apply(fld, h, eps)
+            transport_apply(fld, 0.5 * h, eps, scheme_order)
             steps += nsteps
             t = target
             fld.time = t  # suppress roundoff drift in the time stamp

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfcx
 
-from heavykin import ModelParams, ValidationError
+from heavykin import ModelParams, NumericError, ValidationError
 from heavykin import corrector as co
-from heavykin.model import check_eps, nu0_integral
+from heavykin import kinetic_fv as kfv
+from heavykin.grids import DiscreteModel, VelocityGrid
+from heavykin.model import check_eps, coercivity_constant, nu0, nu0_integral
 
 
 def integral_real_line(fn, tol: float = 1e-13) -> float:
@@ -168,3 +170,71 @@ def hazard_root_by_bisection(params: ModelParams, x, vt, u):
                             <= np.abs(nu0_integral(params, x, vt, hi) - u), lo, hi)
         above = nu0_integral(params, x, vt, mid) > u
         lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+
+
+def coercivity_by_sample(params: ModelParams, vgrid: VelocityGrid,
+                         n_samples: int, seed: int) -> tuple[float, float]:
+    """Worst gap and gain violations of ``harness.check_coercivity``, one
+    ``collision_operator`` call per sample in a Python loop: the route the
+    batched check replaced.  Raises ``NumericError`` naming the first
+    sample whose violation is not finite."""
+    kinds = ("equilibrium times noise", "equilibrium multiple",
+             "sparse spikes", "modulated equilibrium")
+    dvm = DiscreteModel(params, vgrid)
+    nv = vgrid.nv
+    m_const = coercivity_constant(params)
+    w, b, f_eq = vgrid.weights, dvm.bracket_beta, dvm.f_eq
+    rng = np.random.default_rng(seed)
+    worst_gap = worst_gain = -np.inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(n_samples):
+            x = float(rng.uniform(0.0, params.domain_length))
+            kind = i % 4
+            if kind == 0:
+                f = f_eq * rng.exponential(1.0, size=nv)
+            elif kind == 1:
+                f = float(rng.exponential(1.0)) * f_eq
+            elif kind == 2:
+                f = np.zeros(nv)
+                idx = rng.integers(0, nv, size=int(rng.integers(1, 6)))
+                f[idx] = rng.exponential(1.0, size=idx.size)
+            else:
+                f = f_eq * (1.0 + 0.9 * np.sin(3.0 * vgrid.u)) \
+                    * rng.exponential(1.0, size=nv)
+            q = dvm.collision_operator(x, f)
+            lhs = float(np.sum(w * q * f / f_eq))
+            defect = f - float(dvm.density(f)) * f_eq
+            spread = float(nu0(params, x) * np.sum(w * b * defect ** 2 / f_eq))
+            rhs = -spread / (2.0 * m_const)
+            gap = (lhs - rhs) / (1.0 + abs(rhs))
+            gain_sq = float(nu0(params, x)) * float(dvm.moment_beta(f) ** 2) \
+                / dvm.c_beta_disc
+            f_sq = float(nu0(params, x) * np.sum(w * b * f ** 2 / f_eq))
+            gain = (gain_sq - f_sq) / (1.0 + abs(f_sq))
+            for name, term in (("gap", gap), ("gain", gain)):
+                if not np.isfinite(term):
+                    raise NumericError(
+                        f"coercivity sample {i} ({kinds[kind]}, x={x:.6g}) "
+                        f"has a non-finite {name} violation on the velocity "
+                        f"grid with vmax={vgrid.vmax:.3g}")
+            worst_gap, worst_gain = max(worst_gap, gap), max(worst_gain, gain)
+    return worst_gap, worst_gain
+
+
+def strang_unfused(fld, eps: float, times, dt_max: float,
+                   scheme_order: int) -> np.ndarray:
+    """Densities at ``times`` (the first is the start) of the Strang run
+    T(h/2) C(h) T(h/2) repeated, two half transports between consecutive
+    collisions: the loop ``run_kinetic_det`` ran before it fused them.
+    Each interval takes ceil(span / dt_max) equal steps; ``fld`` is the
+    initial ``PhaseField`` and is advanced in place."""
+    rhos = [fld.density().values.copy()]
+    for span in np.diff(times):
+        nsteps = max(1, int(np.ceil(span / dt_max - 1e-12)))
+        h = span / nsteps
+        for _ in range(nsteps):
+            kfv.transport_apply(fld, 0.5 * h, eps, scheme_order)
+            kfv.collision_apply(fld, h, eps)
+            kfv.transport_apply(fld, 0.5 * h, eps, scheme_order)
+        rhos.append(fld.density().values.copy())
+    return np.asarray(rhos)

@@ -561,10 +561,20 @@ def test_qplus_zero_for_constant_probe():
 
 
 def test_qplus_decreases_with_eps():
+    # beta > 0: m_beta(g) carries the gain remainder, about 1.3e-3, 1.1e-3
+    # and 6.7e-4 here
+    params = ModelParams(alpha=1.5, beta=0.25, kappa=0.2, core_asym=0.5)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
-    terms = [abs(co.corrector_term_qplus(phi, _small_run(FLAT, e)))
-             for e in (0.4, 0.2)]
-    assert terms[1] < terms[0]
+    terms = [abs(co.corrector_term_qplus(phi, _small_run(params, e)))
+             for e in (0.4, 0.2, 0.1)]
+    assert terms[0] > terms[1] > terms[2] > 1e-4
+
+
+def test_qplus_vanishes_at_beta_zero():
+    # beta = 0: m_beta(g) = int g dv = 0, so the remainder is round-off
+    phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    for e in (0.4, 0.2, 0.1):
+        assert abs(co.corrector_term_qplus(phi, _small_run(FLAT, e))) <= 1e-15
 
 
 def test_qplus_requires_phase():

@@ -101,3 +101,17 @@ def test_density_field_norms():
     assert f.l2_norm() == pytest.approx(np.sqrt(5.0))
     with pytest.raises(ValidationError, match="shape"):
         DensityField(g, np.ones(5))
+
+
+@pytest.mark.parametrize("nv", [33, 129, 513])
+def test_moments_of_a_row_do_not_depend_on_its_batch(asym_params, nv):
+    # a stack of states has, row by row, the bits of each state's own
+    # moments; a matrix-vector product would round some of them differently
+    dvm = DiscreteModel(asym_params, VelocityGrid(nv=nv, vscale=1.0))
+    rng = np.random.default_rng(5)
+    rows = rng.random((3, 40, nv)) * np.exp(8.0 * rng.standard_normal((3, 40, nv)))
+    for moment in (dvm.density, dvm.moment_beta):
+        alone = np.array([[moment(f) for f in block] for block in rows])
+        assert np.array_equal(moment(rows), alone)
+        assert np.array_equal(moment(rows[0]), alone[0])
+        assert isinstance(moment(rows[0, 0]), np.float64)

@@ -35,6 +35,7 @@ from heavykin.kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from heavykin.kinetic_mc import (advance, density_standard_error,
                                  estimate_density, init_ensemble)
 from heavykin.model import ModelParams, critical_speed
+from oracles import coercivity_by_sample
 
 # ---------------------------------------------------------------------------
 # config
@@ -709,8 +710,29 @@ def test_check_coercivity_refuses_non_finite_samples():
     params = ModelParams(alpha=0.01, beta=0.0, kappa=0.004)
     vgrid = VelocityGrid(129, 1e160 / 128)
     with pytest.raises(NumericError,
-                       match=r"sample \d+ .*x=.*vmax=1e\+160"):
+                       match=r"sample \d+ .*x=.*vmax=1e\+160") as batch:
         check_coercivity(params, vgrid, 200)
+    # the batch names the sample, kind and x the per-sample loop stops at
+    with pytest.raises(NumericError) as loop:
+        coercivity_by_sample(params, vgrid, 200, 2026)
+    assert str(batch.value) == str(loop.value)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.5),
+    ModelParams(alpha=0.8, beta=0.25, kappa=0.2, core_asym=0.5, nu0_delta=0.3),
+    ModelParams(alpha=1.2, beta=-0.3, kappa=0.3, core_asym=-0.4, nu0_delta=0.6),
+])
+@pytest.mark.parametrize("nv", [33, 129, 257])
+def test_check_coercivity_batch_equals_per_sample_loop(params, nv):
+    # one pass over all samples, bit for bit the per-sample loop's worst
+    # violations (round-off sized, so any other rounding would show)
+    vgrid = VelocityGrid(nv, auto_vscale(params, nv, 0.05))
+    for seed in (12345, 2026):
+        metrics = check_coercivity(params, vgrid, 203, seed=seed).metrics
+        gap, gain = coercivity_by_sample(params, vgrid, 203, seed)
+        assert (metrics["max_gap_violation"], metrics["max_gain_violation"]) \
+            == (gap, gain)
 
 
 # vmax 40 misses the tail-mass budget at this alpha: the run warns
