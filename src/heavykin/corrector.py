@@ -27,9 +27,13 @@ depends on (x, v, eps) only, so each diagnostic inverts U once per call.
 Every probe is separable, phi(t, x) = a(t) s(x), and the flight average
 acts on x only, so chi = a(t) <s>, d_t chi = a'(t) <s> and d_x chi =
 a(t) <rate s + s'>: each diagnostic averages the space factor once per
-call, and its time loop only scales by a(t).  The three remainder terms of
-one sweep row go further by sharing a :class:`RowFlight`: one inversion for
-all three and one d_x chi for both drift terms.
+call, and its time loop only scales by a(t).  On a grid of (x, v) the
+averages <s> and <rate s + s'> are built a block of whole x-rows at a time
+(:func:`_grid_averages`), so no (x, v, node) array of the whole grid is ever
+held: the L2 gap and a sweep row's remainders take O(nx nv) memory, not
+O(nx nv nodes).  The three remainder terms of one sweep row go further by
+sharing a :class:`RowFlight`: one inversion for all three, one d_x chi for
+both drift terms, and one g = f - rho F per snapshot.
 The module evaluates chi, its x-derivative, the L2_F distance between chi
 and phi and its boundedness constant, the remainder terms of the weak
 formulation that must vanish with eps, and the pointwise generator integral
@@ -353,7 +357,11 @@ def _flight_shift(params: ModelParams, v, eps: float):
     return eps * v * vel_bracket(v) ** (-params.beta)
 
 
-_BLOCK = 16384   # elements per inversion block: its few arrays stay in cache
+_BLOCK = 16384   # (x, v, node) elements per block of grid rows
+# Elements per Newton call: each of its float arrays stays under 64 KiB,
+# the size below which glibc's free() never trims the heap, so successive
+# calls reuse their temporaries' pages instead of faulting in fresh ones.
+_NEWTON = 8000
 _TABLE = 2048    # intervals of the tabulated inverse primitive over one period
 
 
@@ -409,7 +417,7 @@ def _table_start(params: ModelParams, x, vt, u, phi_x):
         r = (f - periods) * _TABLE
         k = np.fmin(np.fmax(r, 0.0), _TABLE - 1).astype(np.intp)
         t = r - k
-        # Horner in place: a block's temporaries are each 128 KiB
+        # Horner in place: fewer temporaries for the call to hold
         y = c3[k]
         y *= t
         y += c2[k]
@@ -430,10 +438,10 @@ def _invert_hazard(params: ModelParams, x, vt, u):
     """Solve U(z) = u for z >= 0, broadcasting over (x, vt, u).
 
     Closed form when the rate is flat.  Otherwise the elements are inverted
-    block by block by :func:`_newton_block`, with Phi(x) evaluated once on
-    x's own shape; an element that has not met |U(z) - u| <= 1e-13 (1 + u)
-    after 100 rounds raises :class:`NumericError` naming the worst one, so
-    an unconverged z is never returned.
+    ``_NEWTON`` at a time by :func:`_newton_block`, with Phi(x) evaluated
+    once on x's own shape; an element that has not met |U(z) - u| <= 1e-13
+    (1 + u) after 100 rounds raises :class:`NumericError` naming the worst
+    one, so an unconverged z is never returned.
     """
     if params.nu0_delta == 0.0:
         return u / params.nu0_mean + 0.0 * (x + vt)
@@ -442,7 +450,7 @@ def _invert_hazard(params: ModelParams, x, vt, u):
     with np.nditer([x, vt, u, phi_x, None],
                    flags=["external_loop", "buffered", "zerosize_ok"],
                    op_flags=[["readonly"]] * 4 + [["writeonly", "allocate"]],
-                   order="C", buffersize=_BLOCK) as it:
+                   order="C", buffersize=_NEWTON) as it:
         z = it.operands[4]
         for xs, vts, us, phis, zs in it:
             zs[...], left = _newton_block(params, xs, vts, us, phis)
@@ -546,11 +554,43 @@ def _dx_rate(params: ModelParams, fl: _Flight):
             - dnu0_integral(params, fl.x, fl.vt, fl.z))
 
 
-def _dchi_space(space: SpaceFactor, fl: _Flight, rate):
-    """<rate s + s'> on the flight geometry: dchi/dx divided by a(t)."""
+def _dchi_space(params: ModelParams, space: SpaceFactor, fl: _Flight,
+                s=None):
+    """<rate s + s'> on the flight geometry: dchi/dx divided by a(t).  ``s``
+    is the space factor already sampled at the arrival points, if any."""
+    rate = _dx_rate(params, fl)
     if rate is None:
         return fl.average(space.d1(fl.pts))
-    return fl.average(rate * space.value(fl.pts) + space.d1(fl.pts))
+    rate *= space.value(fl.pts) if s is None else s
+    rate += space.d1(fl.pts)
+    return fl.average(rate)
+
+
+def _grid_averages(params: ModelParams, space: SpaceFactor, x, v, eps: float,
+                   *, dchi: bool, nodes: int = 64):
+    """<s> and, when ``dchi``, <rate s + s'> (d_x chi / a(t)) on the grid of
+    x (nx,) by v (nv,): two (nx, nv) arrays, the second None without dchi.
+
+    The flight is built for one block of whole x-rows at a time, about
+    ``_BLOCK`` (x, v, node) elements, and dropped once the block's rows are
+    written, so no (nx, nv, nodes) array is ever held.  Each row's average
+    is the same (nv, nodes) @ (nodes,) product as on the whole grid and
+    every other step is elementwise, so the averages equal those of one
+    flight over the whole grid bit for bit.  s is sampled once per element,
+    for both averages, and s' at most once.
+    """
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    chi = np.empty((x.size, v.size))
+    dchi_out = np.empty((x.size, v.size)) if dchi else None
+    rows = max(1, _BLOCK // (v.size * _laggauss(nodes)[0].size))
+    for lo in range(0, x.size, rows):
+        block = slice(lo, lo + rows)
+        fl = _flight(params, x[block, None], v[None, :], eps, nodes)
+        s = space.value(fl.pts)
+        chi[block] = fl.average(s)
+        if dchi:
+            dchi_out[block] = _dchi_space(params, space, fl, s)
+    return chi, dchi_out
 
 
 def chi_eval(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
@@ -581,7 +621,7 @@ def chi_dx(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
     """
     check_eps(eps)
     fl = _flight(params, x, v, eps, nodes)
-    return phi.time.value(t) * _dchi_space(phi.space, fl, _dx_rate(params, fl))
+    return phi.time.value(t) * _dchi_space(params, phi.space, fl)
 
 
 def hazard_weight(params: ModelParams, x, v, eps: float, *, nodes: int = 64):
@@ -649,10 +689,9 @@ def chi_l2_diagnostics(params: ModelParams, phi: ProbeFunction, eps: float, *,
     vgrid = _gap_vgrid(params, eps, nv)
     fw = vgrid.weights * equilibrium_pdf(params, vgrid.v)
     tail = params.tail_mass_beyond(vgrid.vmax)
-    fl = _flight(params, xq[:, None], vgrid.v[None, :], eps, nodes)
-
+    chi, _ = _grid_averages(params, phi.space, xq, vgrid.v, eps, dchi=False,
+                            nodes=nodes)
     ref = phi.space.value(xq)
-    chi = fl.average(phi.space.value(fl.pts))
     ref_sq = wx @ ref**2
     bulk = wx @ (((chi - ref[:, None]) ** 2) @ fw)
     # rows: values, time derivatives; columns: gap, ||chi||^2, ||phi||^2
@@ -710,26 +749,40 @@ def check_probe_times(phi: ProbeFunction, times) -> np.ndarray:
 
 
 class RowFlight:
-    """The flight geometry of every (cell centre, velocity node) of ``run``,
-    and d_x chi / a(t) on it for the probe ``phi``: what the three remainder
-    terms of one sweep row share when each is passed it as ``row``.  Each is
-    built on first use, so a row without drift never computes d_x chi; a
-    term called without a row builds its own."""
+    """What the three remainder terms of one sweep row share when each is
+    passed it as ``row``: the deviation g = f - rho F of each of ``run``'s
+    snapshots, and on its (cell centre, velocity node) grid <s> and, when
+    there is a drift, d_x chi / a(t) = <rate s + s'> for the probe ``phi``.
+    Both averages come from one blocked pass (:func:`_grid_averages`), so a
+    row holds O(nx nv) memory.  Each part is built on first use, and a term
+    called without a row builds its own."""
 
     def __init__(self, phi: ProbeFunction, run) -> None:
         self.phi, self.run = phi, run
 
     @cached_property
-    def flight(self) -> _Flight:
+    def deviations(self) -> tuple:
+        """g at every snapshot, which Q+ and the drift term in g read."""
         run = self.run
-        return _flight(run.params, run.xgrid.centers[:, None],
-                       run.dvm.vgrid.v[None, :], run.eps)
+        return tuple(run.g_snapshot(i) for i in range(len(run.times)))
 
     @cached_property
+    def _averages(self) -> tuple:
+        run = self.run
+        return _grid_averages(run.params, self.phi.space, run.xgrid.centers,
+                              run.dvm.vgrid.v, run.eps,
+                              dchi=drift(run.params, run.eps) != 0.0)
+
+    @property
+    def chi(self) -> np.ndarray:
+        """<s>, which Q+ reads."""
+        return self._averages[0]
+
+    @property
     def dchi(self) -> np.ndarray:
-        """<rate s + s'>, which both drift remainders read."""
-        return _dchi_space(self.phi.space, self.flight,
-                           _dx_rate(self.run.params, self.flight))
+        """<rate s + s'>, which both drift remainders read (None without
+        a drift, when both vanish)."""
+        return self._averages[1]
 
 
 def _row_for(phi: ProbeFunction, run, row: RowFlight | None) -> RowFlight:
@@ -758,9 +811,8 @@ def corrector_term_qplus(phi: ProbeFunction, run,
     centers = run.xgrid.centers
     gain = run.dvm.p_gain * run.dvm.vgrid.weights
     # snapshots first: a run without them is refused before the flight
-    moments = [run.dvm.moment_beta(run.g_snapshot(i)) for i in range(times.size)]
-    fl = row.flight
-    delta = fl.average(phi.space.value(fl.pts)) - phi.space.value(centers)[:, None]
+    moments = [run.dvm.moment_beta(g) for g in row.deviations]
+    delta = row.chi - phi.space.value(centers)[:, None]
     kernel = nu0(params, centers) * (delta @ gain)
     vals = np.array([kernel @ m for m in moments])
     vals *= run.xgrid.dx * phi.time.value(times)
@@ -778,8 +830,7 @@ def corrector_term_drift_g(phi: ProbeFunction, run,
         return 0.0
     wv = run.dvm.vgrid.weights
     # snapshots first: a run without them is refused before the flight
-    gs = [run.g_snapshot(i) for i in range(times.size)]
-    dchi = row.dchi
+    gs, dchi = row.deviations, row.dchi
     vals = np.array([np.sum((g * dchi) @ wv) for g in gs])
     vals *= run.xgrid.dx * phi.time.value(times)
     return float(eps ** (1.0 - params.gamma) * j * _simpson(vals, times))

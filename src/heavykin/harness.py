@@ -308,13 +308,11 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
         cfg.model, eps, xgrid=xgrid, vgrid=vgrid, t_final=cfg.t_final,
         snapshot_times=cfg.snapshot_times, scheme_order=cfg.scheme_order,
         cfl=cfg.cfl, store_phase=True)
-    shared = RowFlight(phi, run)   # one flight geometry for the three remainders
+    # one blocked flight pass and one g per snapshot, for all three remainders
+    shared = RowFlight(phi, run)
     qplus = corrector_term_qplus(phi, run, shared)
     drift_g = corrector_term_drift_g(phi, run, shared)
     drift_rho = corrector_term_drift_rho(phi, run, shared)
-    # free the geometry before the row's small allocations land above it on
-    # the heap; kept to the return, it raises sweep-drift's peak RSS ~0.1 MB
-    del shared
     row = {
         "eps": eps,
         "mass_err": float(np.max(np.abs(np.asarray(run.mass) - 1.0))),

@@ -185,10 +185,12 @@ class _TransportScratch:
 class _TransportPlan:
     order: int
     courant: float         # dt / dx
-    speeds: np.ndarray     # (nv,) the speeds, or where a column moves by
-                           # whole cells, the speeds of its fractional part
-    coef: np.ndarray       # (nv,) order 1: Courant numbers c; order 2: the
-                           # slope factor 0.5 (1 - |c|), negated where s < 0
+    speeds: np.ndarray     # the speeds, or where a column moves by whole
+                           # cells, the speeds of its fractional part
+    coef: np.ndarray       # order 1: Courant numbers c; order 2: the slope
+                           # factor 0.5 (1 - |c|), negated where s < 0;
+                           # both (nv,) at order 1, (nx, nv) at order 2, so
+                           # its two multiplies per step broadcast nothing
     upwind: np.ndarray     # flat indices of each cell's upwind difference
     upwind_f: np.ndarray   # flat indices of each cell's upwind value (order 2)
     shift: np.ndarray | None  # flat indices of each cell's value n_j whole
@@ -236,6 +238,8 @@ def _transport_plan(fld: PhaseField, dt: float, eps: float,
         left = (speeds < 0.0).astype(np.intp)
         limiter = 0.5 * (1.0 - np.abs(c))
         coef = np.where(left == 1, -limiter, limiter)
+        coef, speeds = (np.broadcast_to(a, (nx, nv)).copy()
+                        for a in (coef, speeds))
     scratch = _plan(fld, "transport scratch", (),
                     lambda: _TransportScratch.empty(nx, nv))
     # the h/2 and h plans of a run share these indices: their upwind sides

@@ -135,6 +135,21 @@ def chi_dt(params: ModelParams, t, x, v, eps: float, phi: co.ProbeFunction,
     return fl.average(phi.dt(t, fl.pts))
 
 
+def grid_averages_one_shot(params: ModelParams, space: co.SpaceFactor, x, v,
+                           eps: float, *, nodes: int = 64):
+    """<s> and <rate s + s'> on the grid x (nx,) by v (nv,) from one flight
+    over the whole grid: the (nx, nv, nodes) arrays that the blocked
+    ``corrector._grid_averages`` never holds at once, with s sampled once
+    per average."""
+    fl = co._flight(params, np.asarray(x)[:, None], np.asarray(v)[None, :],
+                    eps, nodes)
+    chi = fl.average(space.value(fl.pts))
+    rate = co._dx_rate(params, fl)
+    if rate is None:
+        return chi, fl.average(space.d1(fl.pts))
+    return chi, fl.average(rate * space.value(fl.pts) + space.d1(fl.pts))
+
+
 def gaussian_flight_average(nu: float, x, vt, center: float, width: float,
                             amplitude: float = 1.0):
     """Flight average of a Gaussian under a flat rate nu, in closed form.

@@ -1,6 +1,7 @@
 """Corrector: probe catalogue, flight averages, gaps, remainder terms."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,8 +18,8 @@ from heavykin.harness import build_grids, run_sweep
 from heavykin.kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from heavykin.model import drift, equilibrium_pdf, nu0, vel_bracket
 
-from oracles import (chi_dt, gaussian_flight_average, hazard_root_by_bisection,
-                     plane_wave)
+from oracles import (chi_dt, gaussian_flight_average, grid_averages_one_shot,
+                     hazard_root_by_bisection, plane_wave)
 
 
 FLAT = ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.5)
@@ -723,58 +724,136 @@ def test_remainders_equal_per_node_loop(asym_params):
                                     rel=1e-12)
 
 
+def _kept_nodes():
+    return co._laggauss(64)[0].size
+
+
 def test_hazard_inverted_once_per_call(asym_params, monkeypatch):
+    # each (x, v, node) element of the call's grid is inverted once, however
+    # the grid is cut into blocks
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
     run = _small_run(asym_params, 0.3, nx=32, nv=33, n_times=6)
-    calls = []
+    elements = []
     invert = co._invert_hazard
 
-    def counting(*args):
-        calls.append(args)
-        return invert(*args)
+    def counting(params, x, vt, u):
+        elements.append(np.broadcast(x, vt, u).size)
+        return invert(params, x, vt, u)
 
     monkeypatch.setattr(co, "_invert_hazard", counting)
     for term in (co.corrector_term_qplus, co.corrector_term_drift_g,
                  co.corrector_term_drift_rho):
-        calls.clear()
+        elements.clear()
         term(phi, run)
-        assert len(calls) == 1
+        assert sum(elements) == 32 * 33 * _kept_nodes()
     # all four L2 numbers (gap and bound ratio, values and d/dt) from one
-    # inversion
-    calls.clear()
+    # inversion of each element
+    elements.clear()
     co.chi_l2_diagnostics(asym_params, phi, 0.3, nt=8, nxq=16, nv=65)
-    assert len(calls) == 1
+    assert sum(elements) == 16 * 65 * _kept_nodes()
 
 
 def test_space_factor_averaged_once_per_call(asym_params):
     # the space factor is sampled on the (x, v, node) arrival points a fixed
-    # number of times per call, however many snapshots or time nodes there are
-    calls = []
+    # number of times per element and call, however many snapshots or time
+    # nodes there are: s once (for <s> and d_x chi both), s' once, s'' never
+    counts = {}
 
-    def counting(fn):
+    def counting(name, fn):
         def wrapped(x):
             if np.ndim(x) == 3:
-                calls.append(fn)
+                counts[name] = counts.get(name, 0) + np.size(x)
             return fn(x)
         return wrapped
 
     base = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
-    phi = dataclasses.replace(
-        base, space=co.SpaceFactor(*(counting(f) for f in base.space)))
-    counts = {}
+    phi = dataclasses.replace(base, space=co.SpaceFactor(
+        *(counting(name, f) for name, f in zip(("s", "s'", "s''"), base.space))))
+    n = 32 * 33 * _kept_nodes()
     for n_times in (6, 12):
         run = _small_run(asym_params, 0.3, nx=32, nv=33, n_times=n_times)
         for term in (co.corrector_term_qplus, co.corrector_term_drift_g,
                      co.corrector_term_drift_rho):
-            calls.clear()
+            counts.clear()
             term(phi, run)
-            counts[term.__name__, n_times] = len(calls)
-    for name in ("corrector_term_qplus", "corrector_term_drift_g",
-                 "corrector_term_drift_rho"):
-        assert 1 <= counts[name, 6] == counts[name, 12] <= 2
-    calls.clear()
+            assert counts == {"s": n, "s'": n}, (term.__name__, n_times)
+    counts.clear()
     co.chi_l2_diagnostics(asym_params, phi, 0.3, nt=8, nxq=16, nv=65)
-    assert len(calls) == 1
+    assert counts == {"s": 16 * 65 * _kept_nodes()}
+
+
+def test_newton_calls_keep_each_array_under_64_kib(asym_params, monkeypatch):
+    # a 513-node velocity row has 17,442 elements: it is inverted in calls
+    # whose float arrays each stay under 64 KiB
+    sizes = []
+    newton = co._newton_block
+    monkeypatch.setattr(co, "_newton_block", lambda params, x, vt, u, phi_x: (
+        sizes.append(u.size) or newton(params, x, vt, u, phi_x)))
+    phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    co.chi_l2_diagnostics(asym_params, phi, 0.3, nt=4, nxq=3, nv=513)
+    assert sum(sizes) == 3 * 513 * _kept_nodes()
+    assert max(sizes) * 8 < 64 * 1024
+
+
+@pytest.mark.parametrize("params", [
+    FLAT,                                             # flat rate, drift
+    ModelParams(alpha=0.8, beta=0.25, kappa=0.2, core_asym=0.5,
+                nu0_delta=0.3),                       # modulated, no drift
+    ModelParams(alpha=1.5, beta=0.25, kappa=0.2, core_asym=0.5,
+                nu0_delta=0.3),                       # modulated, drift
+], ids=["flat-drift", "degenerate", "modulated-drift"])
+@pytest.mark.parametrize("rows", [1, 3, 40])
+def test_grid_averages_equal_one_shot_flight_bitwise(params, rows, monkeypatch):
+    # blocks of 1 or 3 whole x-rows (16 rows: the last block of 3 is ragged)
+    # and one block of all of them give the one-shot averages bit for bit
+    x = np.linspace(0.0, params.domain_length, 16, endpoint=False) + 0.3
+    v = VelocityGrid(33, vscale=auto_vscale(params, 33, 0.2)).v
+    phi = co.modulated_packet(center=10.0, width=1.5, t_span=(0.0, 0.5))
+    want = grid_averages_one_shot(params, phi.space, x, v, 0.2)
+    monkeypatch.setattr(co, "_BLOCK", rows * v.size * _kept_nodes())
+    got = co._grid_averages(params, phi.space, x, v, 0.2, dchi=True)
+    for g, w in zip(got, want):
+        assert g.shape == (16, 33) and g.tobytes() == w.tobytes()
+    chi, none = co._grid_averages(params, phi.space, x, v, 0.2, dchi=False)
+    assert none is None and chi.tobytes() == want[0].tobytes()
+
+
+def test_row_averages_read_only_what_the_terms_need(asym_params):
+    # d_x chi is built only when there is a drift; <s> always
+    phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    for params, has_drift in ((asym_params, True), (SUBCRIT, False)):
+        run = _small_run(params, 0.3, nx=16, nv=17, n_times=3)
+        row = co.RowFlight(phi, run)
+        want = grid_averages_one_shot(params, phi.space, run.xgrid.centers,
+                                      run.dvm.vgrid.v, run.eps)
+        assert row.chi.tobytes() == want[0].tobytes()
+        if has_drift:
+            assert row.dchi.tobytes() == want[1].tobytes()
+        else:
+            assert row.dchi is None
+
+
+def test_row_remainders_trace_less_than_one_node_array(asym_params,
+                                                       monkeypatch):
+    # with blocks of two x-rows, a row's three remainders hold O(nx nv)
+    # memory: their traced peak stays below one (nx, nv, nodes) float64 array
+    nx, nv = 96, 33
+    phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
+    run = _small_run(asym_params, 0.3, nx=nx, nv=nv, n_times=6)
+    monkeypatch.setattr(co, "_BLOCK", 2 * nv * _kept_nodes())
+    co._inverse_primitive(asym_params.nu0_mean, asym_params.nu0_delta,
+                          asym_params.domain_length)   # the cached table
+    tracemalloc.start()
+    try:
+        row = co.RowFlight(phi, run)
+        terms = [term(phi, run, row) for term in
+                 (co.corrector_term_qplus, co.corrector_term_drift_g,
+                  co.corrector_term_drift_rho)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(t != 0.0 for t in terms)
+    assert peak < nx * nv * _kept_nodes() * 8
 
 
 # ---------------------------------------------------------------------------

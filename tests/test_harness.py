@@ -525,7 +525,7 @@ def test_worker_dying_without_report_raises_promptly(tiny_cfg, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one flight geometry per sweep row
+# one flight pass per sweep row
 # ---------------------------------------------------------------------------
 
 ROW_CFG_TEXT = """
@@ -551,30 +551,36 @@ def _row(cfg, phi=None):
                                     phi or probe_from_choice(cfg))
 
 
+def _row_elements(cfg):
+    """(x, v, node) elements of one row's flight grid."""
+    return cfg.nx * cfg.nv * co._laggauss(64)[0].size
+
+
 def test_row_inverts_the_hazard_once(row_cfg, monkeypatch):
-    # a drift config on a modulated rate: all three remainders need the flight
-    calls = []
+    # a drift config on a modulated rate: all three remainders need the
+    # flight, and each (x, v, node) element is inverted once
+    elements = []
     invert = co._invert_hazard
 
-    def counting(*args):
-        calls.append(args)
-        return invert(*args)
+    def counting(params, x, vt, u):
+        elements.append(np.broadcast(x, vt, u).size)
+        return invert(params, x, vt, u)
 
     monkeypatch.setattr(co, "_invert_hazard", counting)
     row, run = _row(row_cfg)
     assert row["drift_g_term"] != 0.0 and row["drift_rho_term"] != 0.0
-    assert len(calls) == 1
+    assert sum(elements) == _row_elements(row_cfg)
 
 
 def test_row_samples_the_space_factor_at_most_twice(row_cfg):
-    # s on the arrival points once for <s> in Q+ and once for d_x chi, which
+    # per (x, v, node) element: s once, for <s> in Q+ and for d_x chi, which
     # both drift terms share; s' once, for d_x chi
-    calls = {"value": 0, "d1": 0}
+    elements = {"value": 0, "d1": 0}
 
     def counting(name, fn):
         def wrapped(x):
             if np.ndim(x) == 3:
-                calls[name] += 1
+                elements[name] += np.size(x)
             return fn(x)
         return wrapped
 
@@ -583,7 +589,19 @@ def test_row_samples_the_space_factor_at_most_twice(row_cfg):
         value=counting("value", base.space.value),
         d1=counting("d1", base.space.d1)))
     _row(row_cfg, phi)
-    assert calls == {"value": 2, "d1": 1}
+    n = _row_elements(row_cfg)
+    assert elements == {"value": n, "d1": n}
+
+
+def test_row_forms_each_deviation_once(row_cfg, monkeypatch):
+    # Q+ and the drift term in g read g = f - rho F from the row
+    calls = []
+    g_snapshot = KineticRun.g_snapshot
+    monkeypatch.setattr(KineticRun, "g_snapshot",
+                        lambda run, i: calls.append(i) or g_snapshot(run, i))
+    row, run = _row(row_cfg)
+    assert row["drift_g_term"] != 0.0
+    assert calls == list(range(len(run.times))) and len(calls) > 2
 
 
 def test_row_remainders_equal_standalone_calls(row_cfg):
@@ -619,7 +637,7 @@ def test_row_keeps_no_reference_to_its_run(row_cfg, monkeypatch):
     runs = []
 
     def failing(phi, run, row):
-        # Q+ has filled the row's flight geometry by now
+        # Q+ has filled the row's averages and deviations by now
         runs.append(weakref.ref(run))
         raise RuntimeError("synthetic failure inside the row")
 
@@ -631,14 +649,15 @@ def test_row_keeps_no_reference_to_its_run(row_cfg, monkeypatch):
 
 
 def test_drift_free_row_never_computes_dchi(monkeypatch):
-    # alpha < 1 has no drift: the row inverts the hazard once, for Q+, and
-    # never samples s' on the arrival points
+    # alpha < 1 has no drift: the row inverts each (x, v, node) element
+    # once, for Q+, and never samples s' on the arrival points
     cfg = parse_config(ROW_CFG_TEXT.replace("model.alpha = 1.5",
                                             "model.alpha = 0.8"))
-    calls = []
+    elements = []
     invert = co._invert_hazard
-    monkeypatch.setattr(co, "_invert_hazard",
-                        lambda *args: calls.append(args) or invert(*args))
+    monkeypatch.setattr(co, "_invert_hazard", lambda params, x, vt, u: (
+        elements.append(np.broadcast(x, vt, u).size)
+        or invert(params, x, vt, u)))
     base = probe_from_choice(cfg)
     d1_calls = []
 
@@ -651,7 +670,7 @@ def test_drift_free_row_never_computes_dchi(monkeypatch):
     row, _ = _row(cfg, phi)
     assert row["drift_g_term"] == row["drift_rho_term"] == 0.0
     assert row["qplus_term"] != 0.0
-    assert len(calls) == 1
+    assert sum(elements) == _row_elements(cfg)
     assert d1_calls == []
 
 
