@@ -27,13 +27,13 @@ depends on (x, v, eps) only, so each diagnostic inverts U once per call.
 Every probe is separable, phi(t, x) = a(t) s(x), and the flight average
 acts on x only, so chi = a(t) <s>, d_t chi = a'(t) <s> and d_x chi =
 a(t) <rate s + s'>: each diagnostic averages the space factor once per
-call, and its time loop only scales by a(t).  On a grid of (x, v) the
-averages <s> and <rate s + s'> are built a block of whole x-rows at a time
-(:func:`_grid_averages`), so no (x, v, node) array of the whole grid is ever
-held: the L2 gap and a sweep row's remainders take O(nx nv) memory, not
-O(nx nv nodes).  The three remainder terms of one sweep row go further by
-sharing a :class:`RowFlight`: one inversion for all three, one d_x chi for
-both drift terms, and one g = f - rho F per snapshot.
+call, and its time loop only scales by a(t).  One engine builds every
+flight average (:func:`_averages`) a block of whole rows of the broadcast
+(x, v) at a time, so no (x, v, node) array of a whole grid is ever held:
+the L2 gap and a sweep row's remainders take O(nx nv) memory, not O(nx nv
+nodes).  The three remainder terms of one sweep row go further by sharing
+a :class:`RowFlight`: one probe-time check and one inversion for all
+three, one d_x chi for both drift terms, and one g = f - rho F per snapshot.
 The module evaluates chi, its x-derivative, the L2_F distance between chi
 and phi and its boundedness constant, the remainder terms of the weak
 formulation that must vanish with eps, and the pointwise generator integral
@@ -42,6 +42,7 @@ whose limit is the nonlocal diffusion operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -145,28 +146,21 @@ def _constant_space(level: float) -> SpaceFactor:
 
 
 def _gaussian_space(center: float, width: float, amplitude: float) -> SpaceFactor:
-    # value and d1 run on every arrival point of a flight, so an array is
-    # evaluated in place, in the operation order of the 0-d expressions
-    # (whose results are numpy scalars, which take no out=)
+    # value and d1 run on every arrival point of a flight, so they work in
+    # place, in the operation order of the plain expressions; a 0-d input
+    # gives numpy scalars, which the in-place operators rebind
     def value(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            u = (x - center) / width
-            return amplitude * np.exp(-0.5 * u * u)
-        u = np.subtract(x, center)
+        u = np.asarray(x, dtype=float) - center
         u /= width
-        out = np.multiply(-0.5, u)
+        out = -0.5 * u
         out *= u
-        np.exp(out, out=out)
+        out = np.exp(out, out=out if out.ndim else None)
         out *= amplitude
         return out
 
     def d1(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return value(x) * (-(x - center) / width**2)
-        slope = np.subtract(x, center)
-        np.negative(slope, out=slope)
+        slope = np.asarray(x, dtype=float) - center
+        slope *= -1.0
         slope /= width**2
         out = value(x)
         out *= slope
@@ -520,11 +514,6 @@ class _Flight(NamedTuple):
     pts: np.ndarray
     w: np.ndarray
 
-    def average(self, vals):
-        """Flight average of values sampled at ``pts``."""
-        out = vals @ self.w
-        return float(out) if np.ndim(out) == 0 else out
-
 
 def _flight(params: ModelParams, x, v, eps: float, nodes: int = 64) -> _Flight:
     """Invert the hazard once for the broadcast (x, v) at this eps."""
@@ -554,43 +543,44 @@ def _dx_rate(params: ModelParams, fl: _Flight):
             - dnu0_integral(params, fl.x, fl.vt, fl.z))
 
 
-def _dchi_space(params: ModelParams, space: SpaceFactor, fl: _Flight,
-                s=None):
-    """<rate s + s'> on the flight geometry: dchi/dx divided by a(t).  ``s``
-    is the space factor already sampled at the arrival points, if any."""
-    rate = _dx_rate(params, fl)
-    if rate is None:
-        return fl.average(space.d1(fl.pts))
-    rate *= space.value(fl.pts) if s is None else s
-    rate += space.d1(fl.pts)
-    return fl.average(rate)
+def _averages(params: ModelParams, space: SpaceFactor, x, v, eps: float, *,
+              dchi: bool, nodes: int = 64):
+    """<s> and, when ``dchi``, <rate s + s'> (d_x chi / a(t)) over the
+    flights from the broadcast (x, v): each in that shape (a float when it is
+    0-d), the second None without ``dchi``.
 
-
-def _grid_averages(params: ModelParams, space: SpaceFactor, x, v, eps: float,
-                   *, dchi: bool, nodes: int = 64):
-    """<s> and, when ``dchi``, <rate s + s'> (d_x chi / a(t)) on the grid of
-    x (nx,) by v (nv,): two (nx, nv) arrays, the second None without dchi.
-
-    The flight is built for one block of whole x-rows at a time, about
-    ``_BLOCK`` (x, v, node) elements, and dropped once the block's rows are
-    written, so no (nx, nv, nodes) array is ever held.  Each row's average
-    is the same (nv, nodes) @ (nodes,) product as on the whole grid and
-    every other step is elementwise, so the averages equal those of one
-    flight over the whole grid bit for bit.  s is sampled once per element,
-    for both averages, and s' at most once.
+    The flight is built for one block of whole rows (along the last axis) at
+    a time, about ``_BLOCK`` (x, v, node) elements, so on a grid of x (nx, 1)
+    by v (1, nv) no (nx, nv, nodes) array is ever held; a row longer than a
+    block is a block of its own, so a 1-D call holds its whole flight.  Each
+    row's average is the same (n, nodes) @ (nodes,) product as in one flight
+    over the whole shape, and every other step is elementwise, so the
+    averages equal that flight's bit for bit.  s is sampled once per
+    element, for both averages, and s' at most once.
     """
-    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    chi = np.empty((x.size, v.size))
-    dchi_out = np.empty((x.size, v.size)) if dchi else None
-    rows = max(1, _BLOCK // (v.size * _laggauss(nodes)[0].size))
-    for lo in range(0, x.size, rows):
+    check_eps(eps)
+    x, v = np.broadcast_arrays(x, v)   # _flight makes them float
+    shape = x.shape
+    grid = (math.prod(shape[:-1]), shape[-1] if shape else 1)
+    x, v = x.reshape(grid), v.reshape(grid)
+    out = np.empty((1 + dchi,) + grid)
+    rows = max(1, _BLOCK // (max(grid[1], 1) * _laggauss(nodes)[0].size))
+    for lo in range(0, grid[0], rows):
         block = slice(lo, lo + rows)
-        fl = _flight(params, x[block, None], v[None, :], eps, nodes)
+        fl = _flight(params, x[block], v[block], eps, nodes)
         s = space.value(fl.pts)
-        chi[block] = fl.average(s)
+        out[0, block] = s @ fl.w
         if dchi:
-            dchi_out[block] = _dchi_space(params, space, fl, s)
-    return chi, dchi_out
+            rate = _dx_rate(params, fl)
+            if rate is None:
+                out[1, block] = space.d1(fl.pts) @ fl.w
+            else:
+                rate *= s
+                rate += space.d1(fl.pts)
+                out[1, block] = rate @ fl.w
+                del rate   # not held through the next block's flight
+    out = [a.reshape(shape) if shape else float(a[0, 0]) for a in out]
+    return out[0], out[1] if dchi else None
 
 
 def chi_eval(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
@@ -601,9 +591,8 @@ def chi_eval(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
     the mean-flight scale; probes oscillating faster than a few periods per
     flight (phase eps*xi*v*bracket(v)^-beta above ~3) need more nodes.
     """
-    check_eps(eps)
-    fl = _flight(params, x, v, eps, nodes)
-    return phi.time.value(t) * fl.average(phi.space.value(fl.pts))
+    return phi.time.value(t) * _averages(params, phi.space, x, v, eps,
+                                         dchi=False, nodes=nodes)[0]
 
 
 def chi_dx(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
@@ -619,9 +608,8 @@ def chi_dx(params: ModelParams, t, x, v, eps: float, phi: ProbeFunction,
     (nu0_delta == 0) the first two terms vanish identically and dchi/dx is
     the flight average of dphi/dx, computed directly.
     """
-    check_eps(eps)
-    fl = _flight(params, x, v, eps, nodes)
-    return phi.time.value(t) * _dchi_space(params, phi.space, fl)
+    return phi.time.value(t) * _averages(params, phi.space, x, v, eps,
+                                         dchi=True, nodes=nodes)[1]
 
 
 def hazard_weight(params: ModelParams, x, v, eps: float, *, nodes: int = 64):
@@ -630,9 +618,8 @@ def hazard_weight(params: ModelParams, x, v, eps: float, *, nodes: int = 64):
     It sums the kept Gauss-Laguerre weights, alike for every (x, v, eps): it
     shows that the rule is normalized and the inversion converged, not its z.
     """
-    check_eps(eps)
-    fl = _flight(params, x, v, eps, nodes)
-    return fl.average(np.ones_like(fl.pts))
+    return _averages(params, _constant_space(1.0), x, v, eps, dchi=False,
+                     nodes=nodes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -689,8 +676,8 @@ def chi_l2_diagnostics(params: ModelParams, phi: ProbeFunction, eps: float, *,
     vgrid = _gap_vgrid(params, eps, nv)
     fw = vgrid.weights * equilibrium_pdf(params, vgrid.v)
     tail = params.tail_mass_beyond(vgrid.vmax)
-    chi, _ = _grid_averages(params, phi.space, xq, vgrid.v, eps, dchi=False,
-                            nodes=nodes)
+    chi, _ = _averages(params, phi.space, xq[:, None], vgrid.v[None, :], eps,
+                       dchi=False, nodes=nodes)
     ref = phi.space.value(xq)
     ref_sq = wx @ ref**2
     bulk = wx @ (((chi - ref[:, None]) ** 2) @ fw)
@@ -750,15 +737,17 @@ def check_probe_times(phi: ProbeFunction, times) -> np.ndarray:
 
 class RowFlight:
     """What the three remainder terms of one sweep row share when each is
-    passed it as ``row``: the deviation g = f - rho F of each of ``run``'s
-    snapshots, and on its (cell centre, velocity node) grid <s> and, when
-    there is a drift, d_x chi / a(t) = <rate s + s'> for the probe ``phi``.
-    Both averages come from one blocked pass (:func:`_grid_averages`), so a
-    row holds O(nx nv) memory.  Each part is built on first use, and a term
+    passed it as ``row``: ``run``'s snapshot times, checked once against the
+    probe ``phi`` (:func:`check_probe_times`), the deviation g = f - rho F of
+    each snapshot, and on its (cell centre, velocity node) grid <s> and, when
+    there is a drift, d_x chi / a(t) = <rate s + s'>.  Both averages come
+    from one blocked pass (:func:`_averages`), so a row holds O(nx nv)
+    memory.  Each part but the times is built on first use, and a term
     called without a row builds its own."""
 
     def __init__(self, phi: ProbeFunction, run) -> None:
         self.phi, self.run = phi, run
+        self.times = check_probe_times(phi, run.times)
 
     @cached_property
     def deviations(self) -> tuple:
@@ -767,22 +756,22 @@ class RowFlight:
         return tuple(run.g_snapshot(i) for i in range(len(run.times)))
 
     @cached_property
-    def _averages(self) -> tuple:
+    def _both(self) -> tuple:
         run = self.run
-        return _grid_averages(run.params, self.phi.space, run.xgrid.centers,
-                              run.dvm.vgrid.v, run.eps,
-                              dchi=drift(run.params, run.eps) != 0.0)
+        return _averages(run.params, self.phi.space, run.xgrid.centers[:, None],
+                         run.dvm.vgrid.v[None, :], run.eps,
+                         dchi=drift(run.params, run.eps) != 0.0)
 
     @property
     def chi(self) -> np.ndarray:
         """<s>, which Q+ reads."""
-        return self._averages[0]
+        return self._both[0]
 
     @property
     def dchi(self) -> np.ndarray:
         """<rate s + s'>, which both drift remainders read (None without
         a drift, when both vanish)."""
-        return self._averages[1]
+        return self._both[1]
 
 
 def _row_for(phi: ProbeFunction, run, row: RowFlight | None) -> RowFlight:
@@ -806,8 +795,7 @@ def corrector_term_qplus(phi: ProbeFunction, run,
     time integration uses Simpson's rule on the stored snapshot times.
     """
     row = _row_for(phi, run, row)
-    params, eps = run.params, run.eps
-    times = check_probe_times(phi, run.times)
+    params, eps, times = run.params, run.eps, row.times
     centers = run.xgrid.centers
     gain = run.dvm.p_gain * run.dvm.vgrid.weights
     # snapshots first: a run without them is refused before the flight
@@ -823,8 +811,7 @@ def corrector_term_drift_g(phi: ProbeFunction, run,
                            row: RowFlight | None = None) -> float:
     """Drift remainder against the deviation: eps^{1-gamma} j int dchi/dx g."""
     row = _row_for(phi, run, row)
-    params, eps = run.params, run.eps
-    times = check_probe_times(phi, run.times)
+    params, eps, times = run.params, run.eps, row.times
     j = drift(params, eps)
     if j == 0.0:
         return 0.0
@@ -844,8 +831,7 @@ def corrector_term_drift_rho(phi: ProbeFunction, run,
     v-integral is the t-independent kernel (<rate s + s'> - s') @ F.
     """
     row = _row_for(phi, run, row)
-    params, eps = run.params, run.eps
-    times = check_probe_times(phi, run.times)
+    params, eps, times = run.params, run.eps, row.times
     j = drift(params, eps)
     if j == 0.0:
         return 0.0

@@ -301,6 +301,19 @@ def check_correctors(rows: list[dict], params: ModelParams) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def _critical_reach(params: ModelParams, eps: float,
+                    vgrid: VelocityGrid) -> dict:
+    """How far the velocity grid reaches past the critical speed v_c =
+    eps^(-1/(1-beta)): the fraction (vmax/v_c)^-alpha of the equilibrium
+    mass past v_c that it cuts off (1.0 when vmax <= v_c, v_c = inf
+    included), its nodes v > v_c, and vmax/v_c."""
+    critical, vmax = critical_speed(params, eps), vgrid.vmax
+    return {"critical_tail_loss":
+            (vmax / critical) ** -params.alpha if vmax > critical else 1.0,
+            "nodes_past_critical": int(np.count_nonzero(vgrid.v > critical)),
+            "vmax_over_critical": vmax / critical}
+
+
 def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
                  vgrid: VelocityGrid, phi: ProbeFunction) -> tuple[dict, KineticRun]:
     started = time.perf_counter()
@@ -325,7 +338,7 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
         # the velocity-grid defects run_kinetic_det warns about; a warning
         # raised in a worker process never reaches the caller
         "tail_mass_loss": run.dvm.tail_mass_loss,
-        "vmax_over_critical": vgrid.vmax / critical_speed(cfg.model, eps),
+        **_critical_reach(cfg.model, eps, vgrid),
         "wall_time": time.perf_counter() - started,
     }
     return row, run

@@ -132,22 +132,22 @@ def chi_dt(params: ModelParams, t, x, v, eps: float, phi: co.ProbeFunction,
     every arrival point: a route apart from the factored a'(t) <s>."""
     check_eps(eps)
     fl = co._flight(params, x, v, eps, nodes)
-    return fl.average(phi.dt(t, fl.pts))
+    return phi.dt(t, fl.pts) @ fl.w
 
 
-def grid_averages_one_shot(params: ModelParams, space: co.SpaceFactor, x, v,
-                           eps: float, *, nodes: int = 64):
-    """<s> and <rate s + s'> on the grid x (nx,) by v (nv,) from one flight
-    over the whole grid: the (nx, nv, nodes) arrays that the blocked
-    ``corrector._grid_averages`` never holds at once, with s sampled once
-    per average."""
-    fl = co._flight(params, np.asarray(x)[:, None], np.asarray(v)[None, :],
-                    eps, nodes)
-    chi = fl.average(space.value(fl.pts))
+def averages_one_shot(params: ModelParams, space: co.SpaceFactor, x, v,
+                      eps: float, *, nodes: int = 64):
+    """<s> and <rate s + s'> over the broadcast (x, v) from one flight over
+    the whole shape: the (..., nodes) arrays that the blocked
+    ``corrector._averages`` never holds at once, with s sampled once per
+    average.  A 0-d shape gives two floats."""
+    fl = co._flight(params, x, v, eps, nodes)
+    s, ds = space.value(fl.pts), space.d1(fl.pts)
     rate = co._dx_rate(params, fl)
-    if rate is None:
-        return chi, fl.average(space.d1(fl.pts))
-    return chi, fl.average(rate * space.value(fl.pts) + space.d1(fl.pts))
+    if rate is not None:
+        ds = rate * s + ds
+    return tuple(float(a) if np.ndim(a) == 0 else a
+                 for a in (s @ fl.w, ds @ fl.w))
 
 
 def gaussian_flight_average(nu: float, x, vt, center: float, width: float,

@@ -342,9 +342,16 @@ def test_criterion_09_remainder_decay_degenerate(degenerate_sweep):
                   [row["drift_rho_term"] for row in degenerate_sweep.rows]
     drift_zero = all(term == 0.0 for term in drift_terms)
     ok = verdict.passed and slope >= gamma / 2 - 0.15 and drift_zero
+    # recorded, not gated: the kinetic reference of this sweep does not yet
+    # converge to the limit (its velocity grid under-resolves the critical
+    # speed), which the remainder-decay gate cannot see
+    macro = next(v for v in degenerate_sweep.verdicts
+                 if v.criterion == "macro-convergence")
     line = record(9, ok, f"gain remainder slope {slope:.3f} >= gamma/2 - 0.15"
                          f" = {gamma / 2 - 0.15:.3f} over 4 eps; both drift "
-                         f"remainders identically 0 below tail index 1")
+                         f"remainders identically 0 below tail index 1; "
+                         f"macro-convergence {'PASS' if macro.passed else 'FAIL'}"
+                         f" (not gated)")
     assert ok, line
 
 

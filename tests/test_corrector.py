@@ -18,7 +18,7 @@ from heavykin.harness import build_grids, run_sweep
 from heavykin.kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from heavykin.model import drift, equilibrium_pdf, nu0, vel_bracket
 
-from oracles import (chi_dt, gaussian_flight_average, grid_averages_one_shot,
+from oracles import (averages_one_shot, chi_dt, gaussian_flight_average,
                      hazard_root_by_bisection, plane_wave)
 
 
@@ -69,18 +69,19 @@ def test_probe_validation():
 def test_gaussian_space_in_place_equals_one_shot_formulas_bitwise(rng):
     # value and d1 evaluate arrays in place; the results must be the
     # one-shot expressions bit for bit, down to the underflowing far tail
+    # and the sign of d1's zero at the centre
     center, width, amplitude = 10.0, 1.3, 0.7
     space = co._gaussian_space(center, width, amplitude)
     grid = rng.uniform(-5.0, 25.0, (6, 5, 34))
-    grid[0, 0, :3] = center + width * np.array([37.5, -38.6, 40.0])
-    for x in (grid, 11.7, np.float64(-3.2)):
+    grid[0, 0, :4] = center + width * np.array([37.5, -38.6, 40.0, 0.0])
+    for x in (grid, 11.7, np.float64(-3.2), center):
         before = np.copy(x)
         u = (np.asarray(x, dtype=float) - center) / width
         value = amplitude * np.exp(-0.5 * u * u)
         d1 = value * (-(np.asarray(x, dtype=float) - center) / width**2)
         for got, want in ((space.value(x), value), (space.d1(x), d1)):
             assert type(got) is type(want)
-            assert np.array_equal(got, want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         assert np.array_equal(x, before)      # the input is not written
 
 
@@ -802,20 +803,34 @@ def test_newton_calls_keep_each_array_under_64_kib(asym_params, monkeypatch):
     ModelParams(alpha=1.5, beta=0.25, kappa=0.2, core_asym=0.5,
                 nu0_delta=0.3),                       # modulated, drift
 ], ids=["flat-drift", "degenerate", "modulated-drift"])
-@pytest.mark.parametrize("rows", [1, 3, 40])
+@pytest.mark.parametrize("rows", [1, 3, 40, pytest.param(None, id="default")])
 def test_grid_averages_equal_one_shot_flight_bitwise(params, rows, monkeypatch):
-    # blocks of 1 or 3 whole x-rows (16 rows: the last block of 3 is ragged)
-    # and one block of all of them give the one-shot averages bit for bit
+    # on every shape the engine takes -- a scalar, 1-D pairs (one row of
+    # 528, longer than a default block), an (nx, 1) x (1, nv) grid and a
+    # 3-D shape -- blocks of 1 or 3 rows of 33 (16 rows: the last block of 3
+    # is ragged), one block of all of them, and the default blocks give the
+    # one-shot averages bit for bit, and a 0-d shape gives floats
     x = np.linspace(0.0, params.domain_length, 16, endpoint=False) + 0.3
     v = VelocityGrid(33, vscale=auto_vscale(params, 33, 0.2)).v
     phi = co.modulated_packet(center=10.0, width=1.5, t_span=(0.0, 0.5))
-    want = grid_averages_one_shot(params, phi.space, x, v, 0.2)
-    monkeypatch.setattr(co, "_BLOCK", rows * v.size * _kept_nodes())
-    got = co._grid_averages(params, phi.space, x, v, 0.2, dchi=True)
-    for g, w in zip(got, want):
-        assert g.shape == (16, 33) and g.tobytes() == w.tobytes()
-    chi, none = co._grid_averages(params, phi.space, x, v, 0.2, dchi=False)
-    assert none is None and chi.tobytes() == want[0].tobytes()
+    pairs = [a.ravel() for a in np.broadcast_arrays(x[:, None], v[None, :])]
+    assert pairs[0].size * _kept_nodes() > co._BLOCK
+    if rows is not None:
+        monkeypatch.setattr(co, "_BLOCK", rows * v.size * _kept_nodes())
+    for xv in ((x[5], v[7]), pairs, (x[:, None], v[None, :]),
+               (x.reshape(2, 8, 1), v)):
+        shape = np.broadcast_shapes(*map(np.shape, xv))
+        want = averages_one_shot(params, phi.space, *xv, 0.2)
+        got = co._averages(params, phi.space, *xv, 0.2, dchi=True)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and np.shape(g) == shape
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        chi, none = co._averages(params, phi.space, *xv, 0.2, dchi=False)
+        assert none is None
+        assert np.asarray(chi).tobytes() == np.asarray(want[0]).tobytes()
+        if not shape:
+            assert type(want[0]) is float
+            assert type(co.hazard_weight(params, *xv, 0.2)) is float
 
 
 def test_row_averages_read_only_what_the_terms_need(asym_params):
@@ -824,8 +839,8 @@ def test_row_averages_read_only_what_the_terms_need(asym_params):
     for params, has_drift in ((asym_params, True), (SUBCRIT, False)):
         run = _small_run(params, 0.3, nx=16, nv=17, n_times=3)
         row = co.RowFlight(phi, run)
-        want = grid_averages_one_shot(params, phi.space, run.xgrid.centers,
-                                      run.dvm.vgrid.v, run.eps)
+        want = averages_one_shot(params, phi.space, run.xgrid.centers[:, None],
+                                 run.dvm.vgrid.v[None, :], run.eps)
         assert row.chi.tobytes() == want[0].tobytes()
         if has_drift:
             assert row.dchi.tobytes() == want[1].tobytes()

@@ -192,7 +192,8 @@ def test_rows_in_eps_order_with_metrics(small_report):
     for row in small_report.rows:
         for key in ("error_l2", "g_margin", "rho_margin", "mass_err",
                     "qplus_term", "drift_g_term", "drift_rho_term", "steps",
-                    "tail_mass_loss", "vmax_over_critical", "wall_time"):
+                    "tail_mass_loss", "critical_tail_loss",
+                    "nodes_past_critical", "vmax_over_critical", "wall_time"):
             assert key in row
         assert row["wall_time"] > 0
     assert small_report.version == heavykin.__version__
@@ -208,13 +209,40 @@ def test_rows_carry_steps_and_velocity_grid_defects(small_cfg, small_report):
         assert row["tail_mass_loss"] == run.dvm.tail_mass_loss
         assert row["vmax_over_critical"] == \
             run.dvm.vgrid.vmax / critical_speed(small_cfg.model, row["eps"])
+        reach = harness_mod._critical_reach(small_cfg.model, row["eps"],
+                                            run.dvm.vgrid)
+        assert {k: row[k] for k in reach} == reach
         assert {"steps", "dt_max", "step_bound", "tail_mass_loss",
-                "vmax_over_critical"} <= set(kept)
+                "vmax_over_critical", *reach} <= set(kept)
     # smaller eps: more steps (faster transport), a larger critical speed
     assert [r["steps"] for r in small_report.rows] == \
         sorted(r["steps"] for r in small_report.rows)
     assert small_report.rows[-1]["vmax_over_critical"] < \
         small_report.rows[0]["vmax_over_critical"]
+
+
+def test_critical_reach_of_the_acceptance_grids_at_smallest_eps():
+    # eps = 0.05: the degenerate 128 x 129 grid has 17 nodes past v_c and
+    # cuts off 4.7 % of the equilibrium mass past it, the 256 x 257 drift
+    # grid one node and 31 %
+    ladder = "experiment.eps_list = 0.4, 0.2, 0.1, 0.05\n"
+    for text, nodes, loss in (
+            ("model.alpha = 0.8\nmodel.beta = 0.25\nmodel.nu0_delta = 0.3\n"
+             "discretization.nx = 128\ndiscretization.nv = 129\n", 17, 0.047),
+            ("model.alpha = 1.5\n"
+             "discretization.nx = 256\ndiscretization.nv = 257\n", 1, 0.312)):
+        cfg = parse_config("model.core_asym = 0.5\n" + text + ladder)
+        _, vgrid = build_grids(cfg)
+        reach = harness_mod._critical_reach(cfg.model, 0.05, vgrid)
+        assert reach["nodes_past_critical"] == nodes
+        assert reach["critical_tail_loss"] == pytest.approx(loss, abs=5e-4)
+    # no grid reaches an infinite critical speed: nothing is past it, and
+    # the whole tail past it is cut off
+    params = ModelParams(alpha=1.0, beta=0.95, kappa=0.2)
+    assert critical_speed(params, 1e-20) == np.inf
+    assert harness_mod._critical_reach(params, 1e-20, VelocityGrid(9, 1.0)) \
+        == {"critical_tail_loss": 1.0, "nodes_past_critical": 0,
+            "vmax_over_critical": 0.0}
 
 
 def test_terminal_errors_decrease(small_report):
