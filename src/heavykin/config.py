@@ -8,7 +8,6 @@ Serialization is canonical, so load -> serialize -> load is the identity.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass
 
 from .corrector import _probe_choice
@@ -114,6 +113,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA:
+            import difflib   # only a typo needs it
             hint = difflib.get_close_matches(key, _SCHEMA, n=1)
             extra = f" (did you mean {hint[0]!r}?)" if hint else ""
             section = key.split(".", 1)[0]

@@ -10,10 +10,12 @@ epsilon and disclosed in the metrics).
 
 from __future__ import annotations
 
-import multiprocessing
+import os
+import pickle
+import signal
+import sys
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import Pipe
 
 import numpy as np
 
@@ -355,15 +357,37 @@ def _deal(count: int, workers: int) -> list[list[int]]:
     return shares
 
 
-def _run_share(job, eps_share: list[float], conn) -> None:
-    """A forked worker's body: its rows, or the exception that stopped it,
-    go back through ``conn``."""
+def _run_share(job, eps_share: list[float], fd: int) -> None:
+    """A forked child's body: its rows, or the exception that stopped it,
+    go pickled through the pipe's write end ``fd``.
+
+    It never returns: the child always leaves through ``os._exit``, so it
+    never unwinds into the caller's stack.  A payload that cannot be
+    pickled leaves the pipe empty, its traceback on stderr and exit code 1.
+    """
+    code = 1
     try:
-        payload = (True, [job(e) for e in eps_share])
-    except Exception as exc:
-        payload = (False, exc)
-    conn.send(payload)
-    conn.close()
+        try:
+            payload = (True, [job(e) for e in eps_share])
+        except Exception as exc:
+            payload = (False, exc)
+        data = pickle.dumps(payload)
+        with open(fd, "wb") as out:
+            out.write(data)
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        _flush_std_streams()
+        os._exit(code)
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):   # None, or closed
+            pass
 
 
 def _map_rungs(job, eps_list: list[float], workers: int, meanwhile):
@@ -371,58 +395,67 @@ def _map_rungs(job, eps_list: list[float], workers: int, meanwhile):
     processes, this one among them.
 
     The rungs are dealt by :func:`_deal`; every share but the last goes to
-    a forked process, which inherits the job (it closes over the probe,
-    whose factors are local lambdas, so it could not be pickled) and sends
-    back its pickled results.  This process runs the last share, then the
-    rung-independent ``meanwhile()`` while the workers finish.  A worker
-    that exits without reporting raises RuntimeError naming its eps; on any
-    exception the workers still running are terminated, and none outlives
-    the call.  Where the platform cannot fork, the rungs run serially here.
-    A fork copies only the calling thread, so the sweep forks before
-    mc_cross_check starts its particle threads.
+    a child made by ``os.fork``, which inherits the job (it closes over the
+    probe, whose factors are local lambdas, so it could not be pickled) and
+    writes back its pickled results through a pipe.  This process flushes
+    its standard streams before each fork, so no buffered text is written
+    twice, runs the last share, then the rung-independent ``meanwhile()``
+    while the children finish, and reads each pipe to its end.  A child
+    that exits without reporting raises RuntimeError naming its eps and
+    exit code; on any exception the children not yet reaped get SIGTERM,
+    and none outlives the call.  Where the platform cannot fork, the rungs
+    run serially here.  A fork copies only the calling thread, so the sweep
+    forks before mc_cross_check starts its particle threads.
     """
     workers = min(workers, len(eps_list))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers < 2 or not hasattr(os, "fork"):
         return [job(e) for e in eps_list], meanwhile()
-    ctx = multiprocessing.get_context("fork")
     results: list = [None] * len(eps_list)
     *forked, own = _deal(len(eps_list), workers)
-    children = []
+    children = []   # (share, pid, pipe's read end) of each child not reaped
     try:
         for share in forked:
-            recv, send = Pipe(duplex=False)
-            proc = ctx.Process(target=_run_share, daemon=True,
-                               args=(job, [eps_list[i] for i in share], send))
-            proc.start()
-            children.append((share, proc, recv))
-            send.close()   # so recv sees EOF once the worker is gone
+            _flush_std_streams()
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(job, [eps_list[i] for i in share], w)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)   # so r reads EOF once the child is gone
+            children.append((share, pid, open(r, "rb")))
         for i in own:
             results[i] = job(eps_list[i])
         extra = meanwhile()
-        for share, proc, recv in children:
-            try:
-                ok, payload = recv.recv()
-            except EOFError:
-                proc.join()
+        while children:
+            share, pid, reader = children[0]
+            data = reader.read()
+            reader.close()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if not data:
                 raise RuntimeError(
                     "sweep worker for eps = "
                     + ", ".join(f"{eps_list[i]:g}" for i in share)
-                    + f" exited with code {proc.exitcode} before reporting"
-                    ) from None
+                    + " exited with code "
+                    + f"{os.waitstatus_to_exitcode(status)} before reporting")
+            ok, payload = pickle.loads(data)
             if not ok:
                 raise payload
             for i, result in zip(share, payload):
                 results[i] = result
         return results, extra
     except BaseException:
-        for _, proc, _ in children:
-            if proc.is_alive():
-                proc.terminate()
+        for _, pid, _ in children:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for _, proc, recv in children:
-            recv.close()
-            proc.join()
+        for _, pid, reader in children:
+            reader.close()
+            os.waitpid(pid, 0)
 
 
 def mc_cross_check(cfg: RunConfig, det_run: KineticRun,

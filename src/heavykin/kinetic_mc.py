@@ -15,17 +15,18 @@ those of the plain compacted round loop (``np.mod`` wrap, per-particle rates,
 nu0 at every candidate), except that a position rounding to L wraps to 0.
 
 Randomness is organized in counter-based streams, one Philox key per ensemble
-partition (fixed default 8).  `init_ensemble` and `advance` run the
-partitions on a thread pool sized to the available cores; each partition
-draws only from its own stream and writes only its own slice, so results are
-byte-identical for a given (seed, partition count) whatever the worker count.
+partition (fixed default 8).  `init_ensemble` and `advance` deal the
+partitions round-robin to one worker per available core: the calling thread
+and plain threads started beside it; each partition draws only from its own
+stream and writes only its own slice, so results are byte-identical for a
+given (seed, partition count) whatever the worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,10 +80,13 @@ def _partition_streams(seed: int, partitions: int) -> list[Generator]:
 def _pool_map(fn, tasks: list) -> list:
     """``[fn(*task) for task in tasks]``, on up to one thread per usable core.
 
-    The tasks write disjoint memory and draw from their own streams, so the
-    results do not depend on the worker count; with one core they run here.
-    The caller's floating-point error state (``np.errstate``) is set in each
-    worker.
+    The tasks are dealt round-robin to min(tasks, cores) workers: this
+    thread and threads started beside it, each under the caller's
+    floating-point error state (``np.errstate``).  They write disjoint
+    memory and draw from their own streams, so the results do not depend on
+    the worker count; with one core they run here.  A worker stops at its
+    first failing task; once every thread has joined, the exception of the
+    first failing task is raised, as the serial loop would raise it.
     """
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
@@ -90,13 +94,30 @@ def _pool_map(fn, tasks: list) -> list:
     if workers <= 1:
         return [fn(*task) for task in tasks]
     state = np.geterr()
+    results: list = [None] * len(tasks)
+    failed: dict = {}   # task index -> its exception
 
-    def run(task):
+    def run(seat: int) -> None:
         with np.errstate(**state):
-            return fn(*task)
+            for k in range(seat, len(tasks), workers):
+                try:
+                    results[k] = fn(*tasks[k])
+                except BaseException as exc:
+                    failed[k] = exc
+                    return
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, tasks))
+    threads = [threading.Thread(target=run, args=(seat,))
+               for seat in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def init_ensemble(params: ModelParams, n: int, seed: int = 0, *,
@@ -160,8 +181,8 @@ def advance(ens: ParticleEnsemble, dt_macro: float, eps: float) -> ParticleEnsem
     :class:`NumericError` instead of looping without end; so does a
     post-collision velocity draw past the double range, or a flight that
     overflows to a non-finite final position.
-    The partitions run on a thread pool; ``advance_rounds`` records the most
-    rounds any of them took.
+    The partitions run on this thread and threads beside it;
+    ``advance_rounds`` records the most rounds any of them took.
     """
     if dt_macro <= 0:
         raise ValidationError(f"dt_macro must be positive (got {dt_macro})")

@@ -9,10 +9,11 @@ wiring, report determinism, and the failure paths.
 import contextlib
 import dataclasses
 import gc
+import io
 import json
-import multiprocessing
 import os
 import signal
+import sys
 import weakref
 
 import numpy as np
@@ -78,6 +79,13 @@ def test_comments_and_blank_lines():
 def test_unknown_key_reports_line_and_suggestion():
     with pytest.raises(ConfigError, match=r"line 2.*discretization\.nx"):
         parse_config("model.alpha = 1.2\ndiscretization.nxx = 4\n")
+
+
+def test_unknown_key_hints_the_closest_key():
+    # the match above also finds the mistyped key itself; this reads the hint
+    with pytest.raises(ConfigError) as err:
+        parse_config("model.alpah = 1.5")
+    assert "did you mean 'model.alpha'" in str(err.value)
 
 
 def test_unknown_section_lists_sections():
@@ -443,12 +451,7 @@ def test_rungs_dealt_in_snake_order_from_the_smallest_eps():
 
 
 def test_rungs_run_serially_where_fork_is_missing(tiny_cfg, monkeypatch):
-    def no_context(*args, **kwargs):
-        raise AssertionError("no process context without fork")
-
-    monkeypatch.setattr(harness_mod.multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
-    monkeypatch.setattr(harness_mod.multiprocessing, "get_context", no_context)
+    monkeypatch.delattr(harness_mod.os, "fork")
     _tag_rows_with_pid(monkeypatch)
     rep = run_sweep(tiny_cfg, threads=2)
     assert [row["pid"] for row in rep.rows] == [os.getpid()] * 3
@@ -472,21 +475,22 @@ def test_foreign_rung_exception_keeps_its_type(tiny_cfg, monkeypatch):
 
 
 def test_workers_capped_by_rung_count(tiny_cfg, monkeypatch):
-    started = []
-    start = multiprocessing.get_context("fork").Process.start
+    forked = []
+    fork = harness_mod.os.fork
 
-    def recording(self):
-        started.append(self)
-        start(self)
+    def recording():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start",
-                        recording)
+    monkeypatch.setattr(harness_mod.os, "fork", recording)
     _tag_rows_with_pid(monkeypatch)
     rep = run_sweep(dataclasses.replace(tiny_cfg, eps_list=(0.4, 0.2)),
                     threads=8)
     # two rungs: one in a forked worker, one in the caller
-    assert len(started) == 1
-    assert {row["pid"] for row in rep.rows} == {os.getpid(), started[0].pid}
+    assert len(forked) == 1
+    assert {row["pid"] for row in rep.rows} == {os.getpid(), forked[0]}
 
 
 def _raise_in(monkeypatch, where, exc):
@@ -503,20 +507,27 @@ def _raise_in(monkeypatch, where, exc):
     monkeypatch.setattr(harness_mod, "run_kinetic_det", failing)
 
 
+def _assert_no_child_left():
+    # every child of this process has been reaped: none is running, and no
+    # zombie waits for its status
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_no_worker_outlives_the_sweep(tiny_cfg, monkeypatch):
     run_sweep(tiny_cfg, threads=3)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     with monkeypatch.context() as m:
         _fail_at(m, 0.2, NumericError("synthetic error row"))
         rep = run_sweep(tiny_cfg, threads=2)
     assert "error" in rep.rows[1]
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     for where in ("caller", "worker"):
         with monkeypatch.context() as m:
             _raise_in(m, where, ZeroDivisionError(f"bug in the {where}"))
             with pytest.raises(ZeroDivisionError, match=f"bug in the {where}"):
                 run_sweep(tiny_cfg, threads=2)
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
 
 
 @contextlib.contextmanager
@@ -549,7 +560,49 @@ def test_worker_dying_without_report_raises_promptly(tiny_cfg, monkeypatch):
             RuntimeError, match=r"sweep worker for eps = 0\.1 exited with "
                                 r"code 3 before reporting"):
         run_sweep(tiny_cfg, threads=2)
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
+
+
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.hook = lambda: None
+
+
+def test_worker_exception_that_cannot_be_pickled_raises(tiny_cfg,
+                                                        monkeypatch):
+    # the forked rung cannot send its exception back; its child still exits
+    # and the caller names the rung instead of waiting
+    _raise_in(monkeypatch, "worker", _Unpicklable())
+    with _deadline(30), pytest.raises(
+            RuntimeError, match=r"sweep worker for eps = 0\.1 exited with "
+                                r"code 1 before reporting"):
+        run_sweep(tiny_cfg, threads=2)
+    _assert_no_child_left()
+
+
+def test_buffered_caller_text_written_once(tiny_cfg, monkeypatch, capfd):
+    # a block-buffered stdout holds the caller's text when the sweep forks;
+    # the child flushes its streams when it leaves, so unless the caller
+    # flushed first the text would come out twice
+    real = harness_mod.run_kinetic_det
+    caller = os.getpid()
+
+    def printing(params, e, **kwargs):
+        if os.getpid() != caller:
+            print(f"worker rung {e:g}", flush=True)
+        return real(params, e, **kwargs)
+
+    stdout = io.TextIOWrapper(open(os.dup(1), "wb"))
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", stdout)
+        m.setattr(harness_mod, "run_kinetic_det", printing)
+        stdout.write("caller text before the sweep\n")
+        run_sweep(tiny_cfg, threads=2)
+    stdout.close()
+    out = capfd.readouterr().out
+    assert out.count("caller text before the sweep") == 1
+    assert out.count("worker rung 0.1") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """The package and the sweep path run without scipy; the audit routes load it.
 
 scipy serves only the independent audit routes (adaptive quadrature), each
-of which imports it on first use.  Every check runs in a fresh interpreter,
-whose ``sys.modules`` shows what the code under test imported.
+of which imports it on first use.  The fan-outs of rungs and particle
+partitions run on ``os.fork`` and plain threads, so no process or executor
+framework is loaded, and ``difflib`` only for a mistyped config key.  Every
+check runs in a fresh interpreter, whose ``sys.modules`` shows what the code
+under test imported.
 """
 
 import json
@@ -15,6 +18,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCIPY_PARTS = ("scipy.special", "scipy.integrate")
+FRAMEWORKS = ("multiprocessing", "concurrent.futures", "logging", "difflib")
 
 SWEEP_CFG = """
 model.alpha = {alpha}
@@ -32,12 +36,12 @@ DRIFT = SWEEP_CFG.format(alpha=1.5, beta=0.0, delta=0.0, nx=24, nv=25)
 DEGENERATE = SWEEP_CFG.format(alpha=0.8, beta=0.25, delta=0.3, nx=16, nv=17)
 
 
-def _scipy_loaded(code: str) -> dict:
+def _loaded(code: str, parts=SCIPY_PARTS) -> dict:
     """Run ``code`` in a new interpreter; it calls ``mark(label)`` to record
-    which of SCIPY_PARTS are imported at that point."""
+    which of ``parts`` are imported at that point."""
     prelude = (
         "import sys\n"
-        f"PARTS = {SCIPY_PARTS!r}\n"
+        f"PARTS = {parts!r}\n"
         "seen = {}\n"
         "def mark(label):\n"
         "    seen[label] = sorted(p for p in PARTS if p in sys.modules)\n"
@@ -54,7 +58,7 @@ def _scipy_loaded(code: str) -> dict:
 
 def test_import_and_sweeps_load_no_scipy():
     # the forked rungs report their own sys.modules through a wrapped row
-    seen = _scipy_loaded(f"""
+    seen = _loaded(f"""
 import heavykin
 mark("import heavykin")
 import heavykin.cli
@@ -79,6 +83,43 @@ seen["forked rungs"] = sorted({{p for row in report.rows for p in row["scipy"]}}
                     "drift sweep": [], "degenerate sweep": [],
                     "forked rungs": []}
 
+
+def test_import_sweeps_and_particles_load_no_framework():
+    # the rungs report their own sys.modules through a wrapped row; the
+    # particles take two cores whatever the machine has, so advance starts
+    # a thread beside the caller
+    seen = _loaded(f"""
+import heavykin
+mark("import heavykin")
+import heavykin.cli
+mark("import heavykin.cli")
+from heavykin import harness, kinetic_mc
+from heavykin.config import parse_config
+rung = harness._kinetic_row
+def marked_rung(*args):
+    row, run = rung(*args)
+    row["loaded"] = sorted(p for p in PARTS if p in sys.modules)
+    return row, run
+harness._kinetic_row = marked_rung
+for name, text in (("drift", {DRIFT!r}), ("degenerate", {DEGENERATE!r})):
+    for threads in (1, 2):
+        report = harness.run_sweep(parse_config(text), threads=threads)
+        assert all("error" not in row for row in report.rows), report.rows
+        label = f"{{name}} sweep, threads={{threads}}"
+        mark(label)
+        seen[label + ", rungs"] = sorted(
+            {{p for row in report.rows for p in row["loaded"]}})
+kinetic_mc.os.sched_getaffinity = lambda pid: {{0, 1}}
+ens = kinetic_mc.init_ensemble(parse_config({DRIFT!r}).model, 2_000,
+                               partitions=4)
+kinetic_mc.advance(ens, 0.1, 0.5)
+mark("advance")
+""", FRAMEWORKS)
+    labels = ["import heavykin", "import heavykin.cli", "advance"] + [
+        f"{name} sweep, threads={threads}{rungs}"
+        for name in ("drift", "degenerate") for threads in (1, 2)
+        for rungs in ("", ", rungs")]
+    assert seen == {label: [] for label in labels}
 
 AUDIT_ROUTES = {
     "eta-quadrature": """
@@ -113,7 +154,7 @@ assert 0.0 < coercivity_functional(p, 0.0, 0.0) <= coercivity_constant(p) * (1 +
 
 @pytest.mark.parametrize("route", sorted(AUDIT_ROUTES))
 def test_audit_routes_import_scipy_on_first_use(route):
-    seen = _scipy_loaded("import heavykin\nmark('before')\n"
+    seen = _loaded("import heavykin\nmark('before')\n"
                          + AUDIT_ROUTES[route] + "mark('after')\n")
     assert seen["before"] == []
     assert "scipy.integrate" in seen["after"]

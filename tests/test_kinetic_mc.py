@@ -288,7 +288,51 @@ def test_pool_sizes_by_cpu_count_without_affinity(monkeypatch):
     for cores, pooled in ((2, True), (None, False)):
         monkeypatch.setattr(kinetic_mc.os, "cpu_count", lambda c=cores: c)
         idents = kinetic_mc._pool_map(threading.get_ident, [()] * 3)
-        assert (threading.get_ident() not in idents) == pooled
+        # the caller is one of the workers
+        assert threading.get_ident() in idents
+        assert (len(set(idents)) > 1) == pooled
+
+
+def test_pool_map_raises_in_the_caller_with_its_errstate(asym_params,
+                                                         monkeypatch):
+    # a partition failing on a thread beside the caller raises in advance's
+    # caller with its own type, after every thread has joined, and every
+    # worker ran under the caller's np.errstate
+    monkeypatch.setattr(kinetic_mc.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2, 3})
+    ens = init_ensemble(asym_params, n=4_000, seed=3, partitions=4)
+    caller = threading.get_ident()
+    partition = kinetic_mc._advance_partition
+    over = []   # idents of finished threads may be reused, so count calls
+
+    def failing(*args):
+        over.append(np.geterr()["over"])
+        if threading.get_ident() != caller:
+            raise NumericError("synthetic partition failure")
+        return partition(*args)
+
+    monkeypatch.setattr(kinetic_mc, "_advance_partition", failing)
+    before = threading.active_count()
+    with np.errstate(over="raise"), \
+            pytest.raises(NumericError, match="synthetic partition failure"):
+        advance(ens, dt_macro=0.1, eps=0.5)
+    assert threading.active_count() == before
+    assert over == ["raise"] * 4
+
+
+def test_pool_map_raises_the_first_failing_task(monkeypatch):
+    # as the serial loop would: task 1 fails before task 2, whichever
+    # thread gets there first
+    monkeypatch.setattr(kinetic_mc.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2})
+
+    def fn(k):
+        if k:
+            raise ValueError(f"task {k}")
+        return k
+
+    with pytest.raises(ValueError, match="task 1"):
+        kinetic_mc._pool_map(fn, [(k,) for k in range(6)])
 
 
 def test_advance_reports_rounds(asym_params):
