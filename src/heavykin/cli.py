@@ -104,8 +104,11 @@ def cmd_kinetic_det(args) -> int:
         cfl=cfg.cfl, store_phase="binary" in cfg.formats)
     paths = write_outputs(run, cfg.out_dir, cfg.formats,
                           config=config_dict(cfg))
+    summary = run.summary
     _say(args, f"kinetic-det eps={eps}: {len(run.times)} snapshots, "
                f"final mass drift {abs(run.mass[-1] - 1.0):.2e}, "
+               f"vmax/v_c {summary['vmax_over_critical']:.3g} "
+               f"(critical tail loss {summary['critical_tail_loss']:.3g}), "
                f"wrote {len(paths)} file(s) to {cfg.out_dir}")
     return 0
 

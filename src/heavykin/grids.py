@@ -131,11 +131,6 @@ class DiscreteModel:
         """Discrete post-collision density; sum w_j p_j = 1 exactly."""
         return self.bracket_beta * self.f_eq / self.c_beta_disc
 
-    @property
-    def tail_mass_loss(self) -> float:
-        """Continuum equilibrium mass beyond the last node, 2 kappa vmax^-alpha / alpha."""
-        return self.params.tail_mass_beyond(self.vgrid.vmax)
-
     # -- discrete moments ------------------------------------------------
 
     def density(self, values: np.ndarray) -> np.ndarray:

@@ -30,8 +30,7 @@ from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid, \
 from .kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from .kinetic_mc import advance, density_standard_error, estimate_density, \
     init_ensemble
-from .model import ModelParams, check_eps_ladder, coercivity_constant, \
-    critical_speed, nu0
+from .model import ModelParams, check_eps_ladder, coercivity_constant, nu0
 from .nonlocal_op import assemble, solve_macro
 from .outputs import _plain, json_text
 
@@ -303,19 +302,6 @@ def check_correctors(rows: list[dict], params: ModelParams) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _critical_reach(params: ModelParams, eps: float,
-                    vgrid: VelocityGrid) -> dict:
-    """How far the velocity grid reaches past the critical speed v_c =
-    eps^(-1/(1-beta)): the fraction (vmax/v_c)^-alpha of the equilibrium
-    mass past v_c that it cuts off (1.0 when vmax <= v_c, v_c = inf
-    included), its nodes v > v_c, and vmax/v_c."""
-    critical, vmax = critical_speed(params, eps), vgrid.vmax
-    return {"critical_tail_loss":
-            (vmax / critical) ** -params.alpha if vmax > critical else 1.0,
-            "nodes_past_critical": int(np.count_nonzero(vgrid.v > critical)),
-            "vmax_over_critical": vmax / critical}
-
-
 def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
                  vgrid: VelocityGrid, phi: ProbeFunction) -> tuple[dict, KineticRun]:
     started = time.perf_counter()
@@ -330,17 +316,10 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
     drift_rho = corrector_term_drift_rho(phi, run, shared)
     row = {
         "eps": eps,
-        "mass_err": float(np.max(np.abs(np.asarray(run.mass) - 1.0))),
+        **run.summary,
         "qplus_term": qplus,
         "drift_g_term": drift_g,
         "drift_rho_term": drift_rho,
-        "steps": run.steps,
-        "dt_max": run.dt_max,
-        "step_bound": run.step_bound,
-        # the velocity-grid defects run_kinetic_det warns about; a warning
-        # raised in a worker process never reaches the caller
-        "tail_mass_loss": run.dvm.tail_mass_loss,
-        **_critical_reach(cfg.model, eps, vgrid),
         "wall_time": time.perf_counter() - started,
     }
     return row, run

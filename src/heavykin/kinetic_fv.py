@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -352,6 +351,22 @@ def auto_vscale(params: ModelParams, nv: int, eps_min: float,
     return vscale
 
 
+def _grid_defects(params: ModelParams, eps: float,
+                  vgrid: VelocityGrid) -> dict:
+    """How far the velocity grid falls short of the equilibrium: the
+    continuum mass ``tail_mass_loss`` at |v| >= vmax, and how far it
+    reaches past the critical speed v_c = eps^(-1/(1-beta)): the fraction
+    (vmax/v_c)^-alpha of the equilibrium mass past v_c that it cuts off
+    (1.0 when vmax <= v_c, v_c = inf included), its nodes v > v_c, and
+    vmax/v_c."""
+    critical, vmax = critical_speed(params, eps), vgrid.vmax
+    return {"tail_mass_loss": params.tail_mass_beyond(vmax),
+            "critical_tail_loss":
+            (vmax / critical) ** -params.alpha if vmax > critical else 1.0,
+            "nodes_past_critical": int(np.count_nonzero(vgrid.v > critical)),
+            "vmax_over_critical": vmax / critical}
+
+
 @dataclass
 class KineticRun:
     """Everything a kinetic_fv run produces: density/diagnostic trajectories
@@ -373,6 +388,16 @@ class KineticRun:
     wall_time: float = 0.0
     steps: int = 0                      # Strang steps taken
     step_bound: str = "cfl"             # what sets dt_max: "cfl" or "collision"
+
+    @property
+    def summary(self) -> dict:
+        """The run's deterministic scalars: ``steps``, ``dt_max`` and
+        ``step_bound``, the largest mass drift ``mass_err`` = max|mass - 1|,
+        and the velocity grid's defects of :func:`_grid_defects`."""
+        return {"steps": self.steps, "dt_max": self.dt_max,
+                "step_bound": self.step_bound,
+                "mass_err": float(np.max(np.abs(self.mass - 1.0))),
+                **_grid_defects(self.params, self.eps, self.dvm.vgrid)}
 
     @property
     def apriori_bound(self) -> float:
@@ -403,9 +428,9 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
     land on each time of ``snapshot_schedule``: an interval of n equal steps
     h runs T(h/2) [C(h) T(h)]^(n-1) C(h) T(h/2), the half transports that
     meet between two collisions fused into one, and ends on its snapshot.
-    Intervals whose steps agree to round-off share one h.  Emits a warning
-    with the quantified tail-mass loss when the velocity grid misses either
-    the critical scale eps^(-1/(1-beta)) or the 1e-3 tail-mass budget.
+    Intervals whose steps agree to round-off share one h.  How far the
+    velocity grid misses the critical scale eps^(-1/(1-beta)) or the
+    equilibrium tail is recorded in the run's :attr:`KineticRun.summary`.
     """
     check_eps(eps)
     check_courant(cfl)
@@ -424,14 +449,6 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
             f"discrete equilibrium is {dvm.f_eq[node]:.3g} at velocity node "
             f"{node} (v={vgrid.v[node]:.6g}) for {params}; the deviation norms "
             "divide by it")
-    critical = critical_speed(params, eps)
-    if vgrid.vmax < critical or dvm.tail_mass_loss > 1e-3:
-        warnings.warn(
-            f"velocity grid vmax={vgrid.vmax:.3g} below the critical scale "
-            f"{critical:.3g} or tail-mass loss {dvm.tail_mass_loss:.3e} > 1e-3; "
-            "results carry the quoted tail defect",
-            stacklevel=2,
-        )
 
     fld = PhaseField.from_density(xgrid, dvm, periodized_gaussian(xgrid))
 

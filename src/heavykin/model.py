@@ -176,8 +176,11 @@ class ModelParams:
         return 2.0 * self.kappa / self.alpha
 
     def tail_mass_beyond(self, speed: float) -> float:
-        """Equilibrium mass at ``|v| >= speed``, for ``speed >= 1``: equal to
-        ``2 kappa speed^(-alpha) / alpha``."""
+        """Equilibrium mass at ``|v| >= speed``: ``2 kappa speed^(-alpha) /
+        alpha`` from ``speed = 1`` on, and below it the tail mass plus the
+        core's ``2 A (1 - speed)`` (the asymmetric core terms cancel)."""
+        if speed < 1.0:
+            return self.tail_mass + 2.0 * self.core_height * (1.0 - speed)
         return 2.0 * self.kappa * speed ** (-self.alpha) / self.alpha
 
     def as_dict(self) -> dict:

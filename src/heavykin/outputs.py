@@ -319,8 +319,7 @@ def _writers(obj, config) -> dict:
                 "gnorm2": obj.gnorm2,
                 "rho_l2": obj.rho_l2,
                 "f0_norm2": obj.f0_norm2,
-                "dt_max": obj.dt_max,
-                "step_bound": obj.step_bound,
+                **obj.summary,
                 "wall_time": obj.wall_time,
             }),
         }

@@ -16,7 +16,7 @@ from heavykin.config import parse_config
 from heavykin.errors import ConfigError, NumericError, OutputError
 from heavykin.grids import DensityField, SpatialGrid, VelocityGrid, \
     periodized_gaussian
-from heavykin.harness import SweepReport
+from heavykin.harness import SweepReport, build_grids
 from heavykin.kinetic_fv import PhaseField, run_kinetic_det
 from heavykin.model import ModelParams
 from heavykin.nonlocal_op import assemble, solve_macro
@@ -395,6 +395,33 @@ def test_cli_kinetic_det_writes_outputs(tmp_path, capsys):
     assert manifest["dt_max"] > 0
 
 
+def test_cli_kinetic_det_json_explains_its_velocity_grid(tmp_path, capsys):
+    # vmax = 2 misses the critical speed 10 at eps = 0.1: the defect goes
+    # to kinetic.json and the summary line, never to a warning
+    out = tmp_path / "out"
+    text = (TINY.replace("nv = 33", "nv = 17\ndiscretization.vmax_policy = 2")
+            .replace("eps_list = 0.4, 0.2", "eps_list = 0.1")
+            + f"output.dir = {out}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["kinetic-det", "--config", write_cfg(tmp_path, text)]) == 0
+    stdout, stderr = capsys.readouterr()
+    assert stderr == ""
+    assert "vmax/v_c 0.2 (critical tail loss 1)" in stdout
+    cfg = parse_config(text)
+    xgrid, vgrid = build_grids(cfg)
+    summary = run_kinetic_det(
+        cfg.model, 0.1, xgrid=xgrid, vgrid=vgrid, t_final=cfg.t_final,
+        scheme_order=cfg.scheme_order, cfl=cfg.cfl).summary
+    assert set(summary) == {
+        "steps", "dt_max", "step_bound", "mass_err", "tail_mass_loss",
+        "critical_tail_loss", "nodes_past_critical", "vmax_over_critical"}
+    manifest = json.loads((out / "kinetic.json").read_text())
+    assert {k: manifest[k] for k in summary} == summary
+    assert summary["critical_tail_loss"] == 1.0
+    assert summary["vmax_over_critical"] < 1.0
+
+
 def test_cli_kinetic_det_gnorm_diagnostic(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, TINY + f"output.dir = {out}\n")
@@ -546,8 +573,6 @@ def _heavy_tail_cfg(tmp_path, alpha, kappa, vmax):
         "output.formats = json\n"))
 
 
-# the tiny explicit grids miss the critical scale and the tail-mass budget
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_cli_sweep_checks_coercivity_on_explicit_grid(tmp_path, capsys):
     # the automatic vmax overflows at this alpha; the sweep must not size
     # a grid of its own for the coercivity check when the config gives one

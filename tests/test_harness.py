@@ -32,7 +32,8 @@ from heavykin.grids import DiscreteModel, SpatialGrid, VelocityGrid
 from heavykin.harness import (build_grids, check_apriori, check_coercivity,
                               check_correctors, mc_cross_check,
                               probe_from_choice, run_sweep)
-from heavykin.kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
+from heavykin.kinetic_fv import (KineticRun, _grid_defects, auto_vscale,
+                                 run_kinetic_det)
 from heavykin.kinetic_mc import (advance, density_standard_error,
                                  estimate_density, init_ensemble)
 from heavykin.model import ModelParams, critical_speed
@@ -211,17 +212,11 @@ def test_rows_carry_steps_and_velocity_grid_defects(small_cfg, small_report):
     # deterministic, so they survive drop_wall_times
     bare = json.loads(small_report.to_json(drop_wall_times=True))["rows"]
     for row, kept, run in zip(small_report.rows, bare, small_report.runs):
-        assert row["steps"] == run.steps > 0
-        assert row["dt_max"] == run.dt_max > 0
-        assert row["step_bound"] == run.step_bound
-        assert row["tail_mass_loss"] == run.dvm.tail_mass_loss
+        assert run.summary.items() <= row.items()
+        assert set(run.summary) <= set(kept)
+        assert row["steps"] > 0 and row["dt_max"] > 0
         assert row["vmax_over_critical"] == \
             run.dvm.vgrid.vmax / critical_speed(small_cfg.model, row["eps"])
-        reach = harness_mod._critical_reach(small_cfg.model, row["eps"],
-                                            run.dvm.vgrid)
-        assert {k: row[k] for k in reach} == reach
-        assert {"steps", "dt_max", "step_bound", "tail_mass_loss",
-                "vmax_over_critical", *reach} <= set(kept)
     # smaller eps: more steps (faster transport), a larger critical speed
     assert [r["steps"] for r in small_report.rows] == \
         sorted(r["steps"] for r in small_report.rows)
@@ -241,15 +236,16 @@ def test_critical_reach_of_the_acceptance_grids_at_smallest_eps():
              "discretization.nx = 256\ndiscretization.nv = 257\n", 1, 0.312)):
         cfg = parse_config("model.core_asym = 0.5\n" + text + ladder)
         _, vgrid = build_grids(cfg)
-        reach = harness_mod._critical_reach(cfg.model, 0.05, vgrid)
+        reach = _grid_defects(cfg.model, 0.05, vgrid)
         assert reach["nodes_past_critical"] == nodes
         assert reach["critical_tail_loss"] == pytest.approx(loss, abs=5e-4)
     # no grid reaches an infinite critical speed: nothing is past it, and
     # the whole tail past it is cut off
     params = ModelParams(alpha=1.0, beta=0.95, kappa=0.2)
     assert critical_speed(params, 1e-20) == np.inf
-    assert harness_mod._critical_reach(params, 1e-20, VelocityGrid(9, 1.0)) \
-        == {"critical_tail_loss": 1.0, "nodes_past_critical": 0,
+    assert _grid_defects(params, 1e-20, VelocityGrid(9, 1.0)) \
+        == {"tail_mass_loss": params.tail_mass_beyond(8.0),
+            "critical_tail_loss": 1.0, "nodes_past_critical": 0,
             "vmax_over_critical": 0.0}
 
 
@@ -835,8 +831,6 @@ def test_check_coercivity_batch_equals_per_sample_loop(params, nv):
             == (gap, gain)
 
 
-# vmax 40 misses the tail-mass budget at this alpha: the run warns
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_sweep_checks_coercivity_on_its_own_grid():
     cfg = parse_config("discretization.nx = 16\n"
                        "discretization.nv = 17\n"

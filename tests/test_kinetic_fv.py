@@ -1,6 +1,7 @@
 """Deterministic kinetic solver: collision step, transport step, full runs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -501,11 +502,16 @@ def test_run_apriori_bound_small_grid(asym_params):
     assert np.all(run.gnorm2 <= bound)
 
 
-def test_run_warns_on_small_velocity_grid(asym_params):
+def test_run_records_small_velocity_grid_in_summary(asym_params):
     xg = SpatialGrid(nx=32, length=asym_params.domain_length)
     vg = VelocityGrid(nv=17, vscale=0.05)  # vmax = 0.8, absurdly small
-    with pytest.warns(UserWarning, match="tail-mass"):
-        run_kinetic_det(asym_params, 0.5, xgrid=xg, vgrid=vg, t_final=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = run_kinetic_det(asym_params, 0.5, xgrid=xg, vgrid=vg,
+                              t_final=0.01)
+    assert run.summary["vmax_over_critical"] < 1.0
+    assert run.summary["critical_tail_loss"] == 1.0
+    assert run.summary["tail_mass_loss"] > 1e-3
 
 
 def test_run_refuses_endless_cfl_run():

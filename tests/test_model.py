@@ -201,7 +201,8 @@ def test_ppf_matches_branch_oracle_bitwise(params, density):
 def test_tail_mass_beyond_matches_cdf(asym_params):
     feq = m.equilibrium(asym_params)
     assert asym_params.tail_mass_beyond(1.0) == asym_params.tail_mass
-    for speed in (1.5, 40.0, 2.5e3):
+    # below speed 1 the mass past it includes part of the core
+    for speed in (0.0, 0.25, 0.8, 1.5, 40.0, 2.5e3):
         both_tails = feq.cdf(-speed) + (1.0 - feq.cdf(speed))
         assert asym_params.tail_mass_beyond(speed) == \
             pytest.approx(float(both_tails), rel=1e-12)

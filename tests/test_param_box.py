@@ -111,9 +111,8 @@ def _kinetic_det(alpha, beta, kappa, delta, core_asym, eps, vmax, order):
 # alpha may legitimately take hours.  The corners use it.
 @corners("vmax", "order")
 @settings(max_examples=60, deadline=None)
-# tiny grids miss the critical scale by design: the tail-mass warning, and
-# numpy's overflow warnings at the corners, are expected
-@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+# numpy's overflow warnings at the corners are expected
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_kinetic_det_exit_codes_over_parameter_box(alpha, beta_frac, kappa_frac,
                                                    delta, core_asym, eps, vmax,
                                                    order):
@@ -156,8 +155,8 @@ def test_kinetic_mc_exit_codes_over_parameter_box(alpha, beta_frac, kappa_frac,
 @example(alpha=0.01, beta_frac=0.5, kappa_frac=0.8, delta=0.0, core_asym=0.0,
          eps=0.2, vmax="4", order=2)
 @settings(max_examples=60, deadline=None)
-# as for kinetic-det; the forked workers inherit these filters
-@pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+# as for kinetic-det; the forked workers inherit this filter
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_exit_codes_over_parameter_box(alpha, beta_frac, kappa_frac,
                                              delta, core_asym, eps, vmax,
                                              order):
