@@ -31,9 +31,10 @@ call, and its time loop only scales by a(t).  One engine builds every
 flight average (:func:`_averages`) a block of whole rows of the broadcast
 (x, v) at a time, so no (x, v, node) array of a whole grid is ever held:
 the L2 gap and a sweep row's remainders take O(nx nv) memory, not O(nx nv
-nodes).  The three remainder terms of one sweep row go further by sharing
-a :class:`RowFlight`: one probe-time check and one inversion for all
-three, one d_x chi for both drift terms, and one g = f - rho F per snapshot.
+nodes).  The three remainder terms of one sweep row read one
+:class:`RowFlight`: one probe-time check, one drift j and one inversion for
+all three, one d_x chi for both drift terms, and one g = f - rho F per
+snapshot.
 The module evaluates chi, its x-derivative, the L2_F distance between chi
 and phi and its boundedness constant, the remainder terms of the weak
 formulation that must vanish with eps, and the pointwise generator integral
@@ -736,18 +737,19 @@ def check_probe_times(phi: ProbeFunction, times) -> np.ndarray:
 
 
 class RowFlight:
-    """What the three remainder terms of one sweep row share when each is
-    passed it as ``row``: ``run``'s snapshot times, checked once against the
-    probe ``phi`` (:func:`check_probe_times`), the deviation g = f - rho F of
-    each snapshot, and on its (cell centre, velocity node) grid <s> and, when
-    there is a drift, d_x chi / a(t) = <rate s + s'>.  Both averages come
-    from one blocked pass (:func:`_averages`), so a row holds O(nx nv)
-    memory.  Each part but the times is built on first use, and a term
-    called without a row builds its own."""
+    """What the three remainder terms of one sweep row read: the probe
+    ``phi`` and the ``run``, the run's snapshot times, checked once against
+    the probe (:func:`check_probe_times`), the drift ``j`` at the run's eps,
+    the deviation g = f - rho F of each snapshot, and on its (cell centre,
+    velocity node) grid <s> and, when there is a drift, d_x chi / a(t) =
+    <rate s + s'>.  Both averages come from one blocked pass
+    (:func:`_averages`), so a row holds O(nx nv) memory.  The deviations
+    and averages are built on first use."""
 
     def __init__(self, phi: ProbeFunction, run) -> None:
         self.phi, self.run = phi, run
         self.times = check_probe_times(phi, run.times)
+        self.j = drift(run.params, run.eps)
 
     @cached_property
     def deviations(self) -> tuple:
@@ -760,7 +762,7 @@ class RowFlight:
         run = self.run
         return _averages(run.params, self.phi.space, run.xgrid.centers[:, None],
                          run.dvm.vgrid.v[None, :], run.eps,
-                         dchi=drift(run.params, run.eps) != 0.0)
+                         dchi=self.j != 0.0)
 
     @property
     def chi(self) -> np.ndarray:
@@ -774,18 +776,7 @@ class RowFlight:
         return self._both[1]
 
 
-def _row_for(phi: ProbeFunction, run, row: RowFlight | None) -> RowFlight:
-    """``row``, or a new one when it is None; a row of another probe or run
-    is refused."""
-    if row is None:
-        return RowFlight(phi, run)
-    if row.phi is not phi or row.run is not run:
-        raise ValidationError("row flight was built for another probe or run")
-    return row
-
-
-def corrector_term_qplus(phi: ProbeFunction, run,
-                         row: RowFlight | None = None) -> float:
+def corrector_term_qplus(row: RowFlight) -> float:
     """Gain-term remainder of the weak formulation.
 
     eps^-gamma int dt dx dv  Q+(g)(t,x,v) [chi(t,x,v) - phi(t,x)], where
@@ -794,8 +785,8 @@ def corrector_term_qplus(phi: ProbeFunction, run,
     moment sum against the t-independent kernel nu0 ((<s> - s) @ gain);
     time integration uses Simpson's rule on the stored snapshot times.
     """
-    row = _row_for(phi, run, row)
-    params, eps, times = run.params, run.eps, row.times
+    phi, run, times = row.phi, row.run, row.times
+    params = run.params
     centers = run.xgrid.centers
     gain = run.dvm.p_gain * run.dvm.vgrid.weights
     # snapshots first: a run without them is refused before the flight
@@ -804,42 +795,37 @@ def corrector_term_qplus(phi: ProbeFunction, run,
     kernel = nu0(params, centers) * (delta @ gain)
     vals = np.array([kernel @ m for m in moments])
     vals *= run.xgrid.dx * phi.time.value(times)
-    return float(eps ** (-params.gamma) * _simpson(vals, times))
+    return float(run.eps ** (-params.gamma) * _simpson(vals, times))
 
 
-def corrector_term_drift_g(phi: ProbeFunction, run,
-                           row: RowFlight | None = None) -> float:
+def corrector_term_drift_g(row: RowFlight) -> float:
     """Drift remainder against the deviation: eps^{1-gamma} j int dchi/dx g."""
-    row = _row_for(phi, run, row)
-    params, eps, times = run.params, run.eps, row.times
-    j = drift(params, eps)
-    if j == 0.0:
+    if row.j == 0.0:
         return 0.0
+    phi, run, times = row.phi, row.run, row.times
     wv = run.dvm.vgrid.weights
     # snapshots first: a run without them is refused before the flight
     gs, dchi = row.deviations, row.dchi
     vals = np.array([np.sum((g * dchi) @ wv) for g in gs])
     vals *= run.xgrid.dx * phi.time.value(times)
-    return float(eps ** (1.0 - params.gamma) * j * _simpson(vals, times))
+    return float(run.eps ** (1.0 - run.params.gamma) * row.j
+                 * _simpson(vals, times))
 
 
-def corrector_term_drift_rho(phi: ProbeFunction, run,
-                             row: RowFlight | None = None) -> float:
+def corrector_term_drift_rho(row: RowFlight) -> float:
     """Drift remainder against the local-equilibrium part.
 
     eps^{1-gamma} j int dt dx rho(t,x) int dv F(v) [dchi/dx - dphi/dx]; the
     v-integral is the t-independent kernel (<rate s + s'> - s') @ F.
     """
-    row = _row_for(phi, run, row)
-    params, eps, times = run.params, run.eps, row.times
-    j = drift(params, eps)
-    if j == 0.0:
+    if row.j == 0.0:
         return 0.0
+    phi, run, times = row.phi, row.run, row.times
     fw = run.dvm.vgrid.weights * run.dvm.f_eq
-    dchi = row.dchi
-    kernel = (dchi - phi.space.d1(run.xgrid.centers)[:, None]) @ fw
+    kernel = (row.dchi - phi.space.d1(run.xgrid.centers)[:, None]) @ fw
     vals = run.xgrid.dx * phi.time.value(times) * (np.asarray(run.rho) @ kernel)
-    return float(eps ** (1.0 - params.gamma) * j * _simpson(vals, times))
+    return float(run.eps ** (1.0 - run.params.gamma) * row.j
+                 * _simpson(vals, times))
 
 
 # ---------------------------------------------------------------------------

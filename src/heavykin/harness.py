@@ -311,9 +311,9 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
         cfl=cfg.cfl, store_phase=True)
     # one blocked flight pass and one g per snapshot, for all three remainders
     shared = RowFlight(phi, run)
-    qplus = corrector_term_qplus(phi, run, shared)
-    drift_g = corrector_term_drift_g(phi, run, shared)
-    drift_rho = corrector_term_drift_rho(phi, run, shared)
+    qplus = corrector_term_qplus(shared)
+    drift_g = corrector_term_drift_g(shared)
+    drift_rho = corrector_term_drift_rho(shared)
     row = {
         "eps": eps,
         **run.summary,

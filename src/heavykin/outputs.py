@@ -36,7 +36,9 @@ SCHEMA_VERSION = 1
 FORMATS = ("csv", "json", "binary", "gnuplot")
 
 SWEEP_COLUMNS = ("eps", "error_l2", "g_margin", "rho_margin",
-                 "gnorm2_over_eps_gamma", "mass_err", "qplus_term",
+                 "gnorm2_over_eps_gamma", "mass_err", "steps", "dt_max",
+                 "step_bound", "tail_mass_loss", "critical_tail_loss",
+                 "nodes_past_critical", "vmax_over_critical", "qplus_term",
                  "drift_g_term", "drift_rho_term", "wall_time", "error")
 
 # binary phase dump: little-endian header, then nx*nv float64 row-major

@@ -4,6 +4,7 @@ Everything here runs on deliberately tiny grids: the point is exercising the
 writers, the round-trips, and the exit-code contract, not the physics.
 """
 
+import csv
 import json
 import struct
 import warnings
@@ -16,7 +17,7 @@ from heavykin.config import parse_config
 from heavykin.errors import ConfigError, NumericError, OutputError
 from heavykin.grids import DensityField, SpatialGrid, VelocityGrid, \
     periodized_gaussian
-from heavykin.harness import SweepReport, build_grids
+from heavykin.harness import SweepReport, build_grids, run_sweep
 from heavykin.kinetic_fv import PhaseField, run_kinetic_det
 from heavykin.model import ModelParams
 from heavykin.nonlocal_op import assemble, solve_macro
@@ -674,6 +675,23 @@ def test_cli_sweep_writes_report(tmp_path, capsys):
     assert (out / "sweep_rows.csv").exists()
     text = capsys.readouterr().out
     assert "[PASS] apriori-bounds" in text
+
+
+def test_sweep_rows_csv_carries_every_run_summary_key(tmp_path):
+    # the CSV alone shows each rung's steps and how far its velocity grid
+    # reaches, each cell as write_table_csv writes the row's value
+    report = run_sweep(parse_config(TINY))
+    [path] = write_outputs(report, tmp_path, ("csv",))
+    with path.open(newline="") as fh:
+        header, *lines = list(csv.reader(fh))
+    assert header[:2] == ["eps", "error_l2"]
+    assert len(lines) == len(report.rows) == len(report.runs) == 2
+    for row, run, line in zip(report.rows, report.runs, lines):
+        assert set(run.summary) <= set(header)
+        for key in run.summary:
+            value = row[key]
+            want = repr(float(value)) if isinstance(value, float) else str(value)
+            assert line[header.index(key)] == want, key
 
 
 def test_cli_sweep_seed_override_lands_in_report(tmp_path):

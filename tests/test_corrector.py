@@ -553,13 +553,13 @@ def test_qplus_zero_when_g_zero():
     # g is recomputed from the stored f, so "zero" means machine zero
     run = _equilibrium_run(FLAT, eps=0.3)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
-    assert abs(co.corrector_term_qplus(phi, run)) < 1e-15
+    assert abs(co.corrector_term_qplus(co.RowFlight(phi, run))) < 1e-15
 
 
 def test_qplus_zero_for_constant_probe():
     run = _small_run(FLAT, eps=0.4)
     phi = co.constant_probe(1.0, t_span=(0.0, 0.5))
-    assert abs(co.corrector_term_qplus(phi, run)) < 1e-12
+    assert abs(co.corrector_term_qplus(co.RowFlight(phi, run))) < 1e-12
 
 
 def test_qplus_decreases_with_eps():
@@ -567,8 +567,8 @@ def test_qplus_decreases_with_eps():
     # and 6.7e-4 here
     params = ModelParams(alpha=1.5, beta=0.25, kappa=0.2, core_asym=0.5)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
-    terms = [abs(co.corrector_term_qplus(phi, _small_run(params, e)))
-             for e in (0.4, 0.2, 0.1)]
+    terms = [abs(co.corrector_term_qplus(
+        co.RowFlight(phi, _small_run(params, e)))) for e in (0.4, 0.2, 0.1)]
     assert terms[0] > terms[1] > terms[2] > 1e-4
 
 
@@ -576,7 +576,8 @@ def test_qplus_vanishes_at_beta_zero():
     # beta = 0: m_beta(g) = int g dv = 0, so the remainder is round-off
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
     for e in (0.4, 0.2, 0.1):
-        assert abs(co.corrector_term_qplus(phi, _small_run(FLAT, e))) <= 1e-15
+        row = co.RowFlight(phi, _small_run(FLAT, e))
+        assert abs(co.corrector_term_qplus(row)) <= 1e-15
 
 
 def test_qplus_requires_phase():
@@ -584,7 +585,7 @@ def test_qplus_requires_phase():
     run.phase = []
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
     with pytest.raises(ValidationError, match="phase"):
-        co.corrector_term_qplus(phi, run)
+        co.corrector_term_qplus(co.RowFlight(phi, run))
 
 
 def test_remainders_refuse_missing_snapshots_before_the_flight(asym_params,
@@ -599,7 +600,7 @@ def test_remainders_refuse_missing_snapshots_before_the_flight(asym_params,
                         lambda *args: calls.append(args) or invert(*args))
     for term in (co.corrector_term_qplus, co.corrector_term_drift_g):
         with pytest.raises(ValidationError, match="phase-space"):
-            term(phi, run)
+            term(co.RowFlight(phi, run))
     assert calls == []
 
 
@@ -607,7 +608,7 @@ def test_qplus_requires_probe_inside_run():
     run = _equilibrium_run(FLAT, eps=0.3, t_end=0.4)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 1.0))
     with pytest.raises(ValidationError, match="snapshot"):
-        co.corrector_term_qplus(phi, run)
+        co.corrector_term_qplus(co.RowFlight(phi, run))
 
 
 @pytest.mark.parametrize("params", [FLAT, SUBCRIT])
@@ -620,21 +621,21 @@ def test_remainders_refuse_probe_starting_before_the_snapshots(params):
     for term in (co.corrector_term_qplus, co.corrector_term_drift_g,
                  co.corrector_term_drift_rho):
         with pytest.raises(ValidationError, match=r"within the snapshot times"):
-            term(phi, run)
+            term(co.RowFlight(phi, run))
 
 
 def test_drift_terms_zero_for_subcritical_alpha():
     run = _equilibrium_run(SUBCRIT, eps=0.3)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
-    assert co.corrector_term_drift_g(phi, run) == 0.0
-    assert co.corrector_term_drift_rho(phi, run) == 0.0
+    assert co.corrector_term_drift_g(co.RowFlight(phi, run)) == 0.0
+    assert co.corrector_term_drift_rho(co.RowFlight(phi, run)) == 0.0
 
 
 def test_drift_terms_finite_supercritical():
     run = _small_run(FLAT, eps=0.4)
     phi = co.gaussian_packet(center=10.0, width=1.0, t_span=(0.0, 0.5))
-    s2 = co.corrector_term_drift_g(phi, run)
-    s3 = co.corrector_term_drift_rho(phi, run)
+    s2 = co.corrector_term_drift_g(co.RowFlight(phi, run))
+    s3 = co.corrector_term_drift_rho(co.RowFlight(phi, run))
     assert np.isfinite(s2) and np.isfinite(s3)
     assert s3 != 0.0
 
@@ -648,11 +649,12 @@ def test_drift_rho_needs_no_phase_snapshots():
     for store_phase in (True, False):
         run = run_kinetic_det(FLAT, 0.4, xgrid=xgrid, vgrid=vgrid, t_final=0.5,
                               scheme_order=2, store_phase=store_phase)
-        terms[store_phase] = co.corrector_term_drift_rho(phi, run)
+        terms[store_phase] = co.corrector_term_drift_rho(
+            co.RowFlight(phi, run))
     assert terms[False] == terms[True] != 0.0
     # the terms that read the deviation g still need the snapshots
     with pytest.raises(ValidationError, match="store_phase"):
-        co.corrector_term_drift_g(phi, run)
+        co.corrector_term_drift_g(co.RowFlight(phi, run))
 
 
 def _remainders_per_node(params, eps, phi, run):
@@ -718,7 +720,7 @@ def test_remainders_equal_per_node_loop(asym_params):
     for params in (asym_params, FLAT):
         assert drift(params, 0.3) != 0.0
         run = _small_run(params, 0.3, nx=32, nv=33, n_times=6)
-        got = tuple(term(phi, run) for term in
+        got = tuple(term(co.RowFlight(phi, run)) for term in
                     (co.corrector_term_qplus, co.corrector_term_drift_g,
                      co.corrector_term_drift_rho))
         assert got == pytest.approx(_remainders_per_node(params, 0.3, phi, run),
@@ -745,7 +747,7 @@ def test_hazard_inverted_once_per_call(asym_params, monkeypatch):
     for term in (co.corrector_term_qplus, co.corrector_term_drift_g,
                  co.corrector_term_drift_rho):
         elements.clear()
-        term(phi, run)
+        term(co.RowFlight(phi, run))
         assert sum(elements) == 32 * 33 * _kept_nodes()
     # all four L2 numbers (gap and bound ratio, values and d/dt) from one
     # inversion of each element
@@ -776,7 +778,7 @@ def test_space_factor_averaged_once_per_call(asym_params):
         for term in (co.corrector_term_qplus, co.corrector_term_drift_g,
                      co.corrector_term_drift_rho):
             counts.clear()
-            term(phi, run)
+            term(co.RowFlight(phi, run))
             assert counts == {"s": n, "s'": n}, (term.__name__, n_times)
     counts.clear()
     co.chi_l2_diagnostics(asym_params, phi, 0.3, nt=8, nxq=16, nv=65)
@@ -861,7 +863,7 @@ def test_row_remainders_trace_less_than_one_node_array(asym_params,
     tracemalloc.start()
     try:
         row = co.RowFlight(phi, run)
-        terms = [term(phi, run, row) for term in
+        terms = [term(row) for term in
                  (co.corrector_term_qplus, co.corrector_term_drift_g,
                   co.corrector_term_drift_rho)]
         _, peak = tracemalloc.get_traced_memory()

@@ -682,24 +682,13 @@ def test_row_forms_each_deviation_once(row_cfg, monkeypatch):
 
 
 def test_row_remainders_equal_standalone_calls(row_cfg):
+    # each term on a row of its own equals its value on the shared row
     phi = probe_from_choice(row_cfg)
     row, run = _row(row_cfg, phi)
-    assert row["qplus_term"] == corrector_term_qplus(phi, run)
-    assert row["drift_g_term"] == corrector_term_drift_g(phi, run)
-    assert row["drift_rho_term"] == corrector_term_drift_rho(phi, run)
-
-
-def test_row_of_another_probe_or_run_is_refused(row_cfg):
-    # a row's geometry and d_x chi belong to one (probe, run) pair
-    phi = probe_from_choice(row_cfg)
-    psi = probe_from_choice(dataclasses.replace(row_cfg, phi_choice="packet"))
-    _, run = _row(row_cfg, phi)
-    _, other_run = _row(row_cfg, phi)
-    for row in (co.RowFlight(psi, run), co.RowFlight(phi, other_run)):
-        for term in (corrector_term_qplus, corrector_term_drift_g,
-                     corrector_term_drift_rho):
-            with pytest.raises(ValidationError, match="another probe or run"):
-                term(phi, run, row)
+    assert row["qplus_term"] == corrector_term_qplus(co.RowFlight(phi, run))
+    assert row["drift_g_term"] == corrector_term_drift_g(co.RowFlight(phi, run))
+    assert row["drift_rho_term"] == corrector_term_drift_rho(
+        co.RowFlight(phi, run))
 
 
 def test_row_keeps_no_reference_to_its_run(row_cfg, monkeypatch):
@@ -713,9 +702,9 @@ def test_row_keeps_no_reference_to_its_run(row_cfg, monkeypatch):
     # a remainder failing inside the row leaves nothing behind either
     runs = []
 
-    def failing(phi, run, row):
+    def failing(row):
         # Q+ has filled the row's averages and deviations by now
-        runs.append(weakref.ref(run))
+        runs.append(weakref.ref(row.run))
         raise RuntimeError("synthetic failure inside the row")
 
     monkeypatch.setattr(harness_mod, "corrector_term_drift_g", failing)
@@ -752,18 +741,25 @@ def test_drift_free_row_never_computes_dchi(monkeypatch):
 
 
 def test_sweep_calls_the_three_remainder_names(tiny_cfg, monkeypatch):
-    # the benchmark times the remainders by wrapping these harness names
-    counts = {}
+    # the benchmark times the remainders by wrapping these harness names;
+    # each call takes its rung's row, and nothing else
+    calls = {}
     for name in ("corrector_term_qplus", "corrector_term_drift_g",
                  "corrector_term_drift_rho"):
-        def counting(*args, _real=getattr(harness_mod, name), _name=name):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _real(*args)
+        def counting(*args, _real=getattr(harness_mod, name), _name=name,
+                     **kwargs):
+            calls.setdefault(_name, []).append((args, kwargs))
+            return _real(*args, **kwargs)
         monkeypatch.setattr(harness_mod, name, counting)
-    run_sweep(tiny_cfg, threads=1)
-    assert len(tiny_cfg.eps_list) == 3
-    assert counts == {"corrector_term_qplus": 3, "corrector_term_drift_g": 3,
-                      "corrector_term_drift_rho": 3}
+    report = run_sweep(tiny_cfg, threads=1)
+    assert len(tiny_cfg.eps_list) == len(report.runs) == 3
+    assert sorted(calls) == ["corrector_term_drift_g",
+                             "corrector_term_drift_rho", "corrector_term_qplus"]
+    for made in calls.values():
+        assert len(made) == 3
+        for (args, kwargs), run in zip(made, report.runs):
+            assert kwargs == {} and len(args) == 1
+            assert isinstance(args[0], co.RowFlight) and args[0].run is run
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +854,7 @@ def test_row_remainders_equal_direct_terms(small_cfg, small_report):
         for name, term in (("qplus", corrector_term_qplus),
                            ("drift_g", corrector_term_drift_g),
                            ("drift_rho", corrector_term_drift_rho)):
-            assert row[f"{name}_term"] == term(phi, run)
+            assert row[f"{name}_term"] == term(co.RowFlight(phi, run))
 
 
 def test_mc_cross_check_reuses_det_run(small_cfg, small_report):
