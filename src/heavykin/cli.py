@@ -26,6 +26,7 @@ from .harness import (Verdict, build_grids, check_coercivity,
 from .kinetic_fv import run_kinetic_det
 from .kinetic_mc import (advance, density_standard_error, estimate_density,
                          init_ensemble)
+from .model import strictly_decreasing
 from .nonlocal_op import assemble, eta, kernel_table, nonlocal_operator_at, \
     solve_macro
 from .outputs import (check_formats, json_text, write_manifest_json,
@@ -139,8 +140,7 @@ def cmd_chi_check(args) -> int:
     gaps_dt = [r["gap_dt"] for r in rows]
     verdicts = [
         Verdict("corrector-gap-decay",
-                all(b < a for a, b in zip(gaps, gaps[1:]))
-                and all(b < a for a, b in zip(gaps_dt, gaps_dt[1:])),
+                strictly_decreasing(gaps) and strictly_decreasing(gaps_dt),
                 "gaps strictly decreasing in eps",
                 {"eps": list(cfg.eps_list), "gap": gaps, "gap_dt": gaps_dt}),
         Verdict("corrector-boundedness",
@@ -206,11 +206,10 @@ def cmd_limit_check(args) -> int:
         for e, err in zip(cfg.eps_list, errs):
             rows.append({"t": t, "x": x, "eps": e, "target": target,
                          "abs_err": err})
-        decreasing = all(b < a for a, b in zip(errs, errs[1:]))
         rel = errs[-1] / abs(target)
         verdicts.append(Verdict(
             f"operator-limit[t={t:g},x={x:g}]",
-            decreasing and rel < 0.05,
+            strictly_decreasing(errs) and rel < 0.05,
             "errors decreasing in eps; terminal relative error < 5%",
             {"eps": list(cfg.eps_list), "abs_err": errs, "terminal_rel": rel,
              "target": target}))

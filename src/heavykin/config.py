@@ -166,8 +166,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     owned("discretization.nv", VelocityGrid, cfg.nv)
     owned("discretization.scheme_order", check_scheme_order, cfg.scheme_order)
     if cfg.vmax_policy != "auto":
-        owned("discretization.vmax_policy", VelocityGrid, cfg.nv,
-              float(cfg.vmax_policy) / (cfg.nv - 1))
+        owned("discretization.vmax_policy", VelocityGrid.spanning, cfg.nv,
+              float(cfg.vmax_policy))
     owned("discretization.dt_policy", check_courant, cfg.cfl)
     owned("experiment.eps_list", check_eps_ladder, cfg.eps_list)
     owned("experiment.t_final", snapshot_schedule, cfg.t_final)

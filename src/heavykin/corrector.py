@@ -644,8 +644,7 @@ def _gap_vgrid(params: ModelParams, eps: float, nv: int):
     if np.isinf(critical):
         raise NumericError(f"critical speed eps^(-1/(1-beta)) overflows at "
                            f"eps={eps}, beta={params.beta}")
-    vmax = 10.0 * max(critical, 10.0)
-    return VelocityGrid(nv, vscale=vmax / (nv - 1))
+    return VelocityGrid.spanning(nv, 10.0 * max(critical, 10.0))
 
 
 def chi_l2_diagnostics(params: ModelParams, phi: ProbeFunction, eps: float, *,

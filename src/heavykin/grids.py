@@ -57,7 +57,7 @@ class VelocityGrid:
     power-law integrands.
 
     nv must be odd so that v = 0 is a node (the stagnant column of the
-    transport stencil).
+    transport stencil), and the scale must keep the weights finite.
     """
 
     nv: int
@@ -68,6 +68,15 @@ class VelocityGrid:
             raise ValidationError(f"need nv odd and >= 9 (got nv={self.nv})")
         if not self.vscale > 0:
             raise ValidationError(f"vscale must be positive (got {self.vscale})")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.weights)):
+                raise ValidationError(f"vscale {self.vscale:.3g} overflows the "
+                                      f"quadrature weights (nv={self.nv})")
+
+    @classmethod
+    def spanning(cls, nv: int, vmax: float) -> "VelocityGrid":
+        """The grid of nv nodes whose outermost node sits at |v| = vmax."""
+        return cls(nv, vmax / (nv - 1))
 
     @property
     def du(self) -> float:
@@ -106,7 +115,8 @@ class DiscreteModel:
     the collision operator's algebraic identities -- Q(F) = 0, mass
     conservation, the coercivity inequality -- hold to round-off in the
     discrete space instead of only up to quadrature error.  The continuum
-    constants are recovered as the grid refines.
+    constants are recovered as the grid refines.  :meth:`decompose` and
+    :attr:`w_beta` own the split f = rho F + g and the weights w <v>^beta.
     """
 
     params: ModelParams
@@ -118,13 +128,18 @@ class DiscreteModel:
         return vel_bracket(self.vgrid.v) ** self.params.beta
 
     @cached_property
+    def w_beta(self) -> np.ndarray:
+        """w_j <v_j>^beta, the quadrature weights of the beta-moment."""
+        return self.vgrid.weights * self.bracket_beta
+
+    @cached_property
     def f_eq(self) -> np.ndarray:
         raw = equilibrium(self.params).pdf(self.vgrid.v)
         return raw / np.sum(self.vgrid.weights * raw)
 
     @cached_property
     def c_beta_disc(self) -> float:
-        return float(np.sum(self.vgrid.weights * self.bracket_beta * self.f_eq))
+        return float(np.sum(self.w_beta * self.f_eq))
 
     @cached_property
     def p_gain(self) -> np.ndarray:
@@ -139,7 +154,12 @@ class DiscreteModel:
 
     def moment_beta(self, values: np.ndarray) -> np.ndarray:
         """m_beta(f) = sum_j w_j <v_j>^beta f_j along the last axis."""
-        return _row_dot(values, self.vgrid.weights * self.bracket_beta)
+        return _row_dot(values, self.w_beta)
+
+    def decompose(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, g): f = rho F + g along the last axis, g shaped like f."""
+        rho = self.density(values)
+        return rho, values - np.multiply.outer(rho, self.f_eq)
 
     def collision_operator(self, x, values: np.ndarray) -> np.ndarray:
         """Q(f) = nu0(x) [p(v) m_beta(f) - <v>^beta f] on grid values.

@@ -30,7 +30,8 @@ from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid, \
 from .kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from .kinetic_mc import advance, density_standard_error, estimate_density, \
     init_ensemble
-from .model import ModelParams, check_eps_ladder, coercivity_constant, nu0
+from .model import (ModelParams, check_eps_ladder, coercivity_constant, nu0,
+                    strictly_decreasing)
 from .nonlocal_op import assemble, solve_macro
 from .outputs import _plain, json_text
 
@@ -106,10 +107,9 @@ def build_grids(cfg: RunConfig) -> tuple[SpatialGrid, VelocityGrid]:
     """Grids implied by a config (resolving the 'auto' velocity policy)."""
     xgrid = SpatialGrid(cfg.nx, cfg.model.domain_length)
     if cfg.vmax_policy == "auto":
-        vscale = auto_vscale(cfg.model, cfg.nv, min(cfg.eps_list))
-    else:
-        vscale = float(cfg.vmax_policy) / (cfg.nv - 1)
-    return xgrid, VelocityGrid(cfg.nv, vscale)
+        return xgrid, VelocityGrid(
+            cfg.nv, auto_vscale(cfg.model, cfg.nv, min(cfg.eps_list)))
+    return xgrid, VelocityGrid.spanning(cfg.nv, float(cfg.vmax_policy))
 
 
 def probe_from_choice(cfg: RunConfig) -> ProbeFunction:
@@ -201,7 +201,7 @@ def check_coercivity(params: ModelParams, vgrid: VelocityGrid,
         raise ValidationError("n_samples must be positive")
     dvm = DiscreteModel(params, vgrid)
     m_const = coercivity_constant(params)
-    w, b, f_eq = vgrid.weights, dvm.bracket_beta, dvm.f_eq
+    w, f_eq = vgrid.weights, dvm.f_eq
     xs, fs = _coercivity_samples(params, vgrid, f_eq, n_samples,
                                  np.random.default_rng(seed))
 
@@ -217,12 +217,12 @@ def check_coercivity(params: ModelParams, vgrid: VelocityGrid,
             nu = nu0(params, x)
             q = dvm.collision_operator(x, f)
             lhs = np.sum(w * q * f / f_eq, axis=1)
-            defect = f - dvm.density(f)[:, None] * f_eq
-            rhs = -(nu * np.sum(w * b * defect ** 2 / f_eq, axis=1)) \
+            _, defect = dvm.decompose(f)
+            rhs = -(nu * np.sum(dvm.w_beta * defect ** 2 / f_eq, axis=1)) \
                 / (2.0 * m_const)
             gap[block] = (lhs - rhs) / (1.0 + np.abs(rhs))
             gain_sq = nu * dvm.moment_beta(f) ** 2 / dvm.c_beta_disc
-            f_sq = nu * np.sum(w * b * f ** 2 / f_eq, axis=1)
+            f_sq = nu * np.sum(dvm.w_beta * f ** 2 / f_eq, axis=1)
             gain[block] = (gain_sq - f_sq) / (1.0 + np.abs(f_sq))
     finite = np.isfinite(gap) & np.isfinite(gain)
     if not finite.all():
@@ -285,7 +285,7 @@ def check_correctors(rows: list[dict], params: ModelParams) -> Verdict:
         slope = float(np.polyfit(np.log(eps), np.log(mags), 1)[0])
         metrics[f"{name}_slope"] = slope
         metrics[f"{name}_fitted_prefactor"] = float(mags[0] / eps[0] ** s_pred)
-        decreasing = bool(np.all(np.diff(mags) < 0))
+        decreasing = strictly_decreasing(mags)
         metrics[f"{name}_decreasing"] = decreasing
         if not decreasing or slope < s_pred - 0.15:
             passed = False
@@ -561,10 +561,9 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
 
     errors = [row["error_l2"] for row in rows if "error_l2" in row]
     if len(errors) >= 2:
-        decreasing = all(b < a for a, b in zip(errors, errors[1:]))
         verdicts.append(Verdict(
             criterion="macro-convergence",
-            passed=decreasing,
+            passed=strictly_decreasing(errors),
             tolerance="terminal L2 error strictly decreasing in eps",
             metrics={"errors": errors,
                      "ratio_last_first": errors[-1] / errors[0]},

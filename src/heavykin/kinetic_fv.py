@@ -10,7 +10,8 @@ two collisions the two half transports run as one transport of a full step,
 so a snapshot interval of n steps is T(h/2) [C(h) T(h)]^(n-1) C(h) T(h/2):
 the same splitting, with n + 1 transports instead of 2n.  The collision step
 exploits the rank-one gain and is solved in closed form per x-column, so the
-stiff rate nu/eps^gamma costs nothing in stability.
+stiff rate nu/eps^gamma costs nothing in stability.  What a step of a given
+length needs besides f is built once, into the field's plan table.
 """
 
 from __future__ import annotations
@@ -41,13 +42,17 @@ __all__ = [
 
 @dataclass
 class PhaseField:
-    """f(x_i, v_j) >= 0 on SpatialGrid x VelocityGrid at a given time."""
+    """f(x_i, v_j) >= 0 on SpatialGrid x VelocityGrid at a given time.
+
+    ``_plans`` holds the step set-ups of collision_apply and transport_apply
+    by ``(kind, *step)``; nothing is evicted, so a caller that changes its
+    step length (or the field's grids) empties it, as run_kinetic_det does.
+    """
 
     xgrid: SpatialGrid
     dvm: DiscreteModel
     values: np.ndarray
     time: float = 0.0
-    # step set-ups of collision_apply / transport_apply, by kind
     _plans: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -68,52 +73,26 @@ class PhaseField:
         return DensityField(self.xgrid, self.dvm.density(self.values),
                             time=self.time, provenance="deterministic marginal")
 
-    def mass(self) -> float:
-        return float(np.sum(self.dvm.density(self.values)) * self.xgrid.dx)
-
     def gnorm2(self) -> float:
         """|| f - rho F ||^2 in the weighted space L^2(nu F^-1) (both variables)."""
         dvm = self.dvm
-        rho = dvm.density(self.values)
-        g = self.values - np.outer(rho, dvm.f_eq)
+        _, g = dvm.decompose(self.values)
         nu_x = nu0(dvm.params, self.xgrid.centers)
-        col = (dvm.vgrid.weights * dvm.bracket_beta) / dvm.f_eq
+        col = dvm.w_beta / dvm.f_eq
         return float(self.xgrid.dx * np.sum(nu_x[:, None] * g * g * col[None, :]))
 
-    def fnorm2_finv(self) -> float:
-        """|| f ||^2 in L^2(F^-1) (the a-priori bound's right-hand-side norm)."""
-        col = self.dvm.vgrid.weights / self.dvm.f_eq
-        return float(self.xgrid.dx * np.sum(self.values**2 * col[None, :]))
 
-
-def _plan(fld: PhaseField, kind: str, key: tuple, build, slots: int = 1):
-    """The step set-up of ``kind`` for ``key``, built on first use.
-
-    Each kind keeps its ``slots`` most recently used plans.  A Strang run
-    uses one collision step length and two transport step lengths (h/2 and
-    h) per snapshot interval, so a new key replaces the least recently used
-    plan instead of piling up; the stale plan is freed before the new one is
-    built.  The grid and the model are part of the key, so a field given a
-    new grid never reuses a stale plan.
-    """
-    key = (key, fld.xgrid, fld.dvm)
-    cached = fld._plans.setdefault(kind, [])
-    for i, (known, plan) in enumerate(cached):
-        if known == key:
-            if i:
-                cached.insert(0, cached.pop(i))
-            return plan
-    del cached[slots - 1:]      # free the stale plan before building anew
-    plan = build()
-    cached.insert(0, (key, plan))
-    return plan
+def _plan(fld: PhaseField, key: tuple, build):
+    """The plan table's entry ``key`` = (kind, *step), built on first use."""
+    if key not in fld._plans:
+        fld._plans[key] = build()
+    return fld._plans[key]
 
 
 @dataclass(frozen=True)
 class _CollisionPlan:
     lam: np.ndarray        # (nx,) dt nu0(x) / eps^gamma
     denom: np.ndarray      # (nx, nv) 1 + lam <v>^beta
-    wb: np.ndarray         # (nv,) w <v>^beta
     one_minus: np.ndarray  # (nx,) 1 - lam S2
     work: np.ndarray       # (nx, nv) scratch, reused by every step
 
@@ -122,11 +101,9 @@ def _collision_plan(fld: PhaseField, dt_coll: float, eps: float) -> _CollisionPl
     dvm = fld.dvm
     p = dvm.params
     lam = dt_coll * nu0(p, fld.xgrid.centers) / eps**p.gamma
-    b = dvm.bracket_beta
-    wb = dvm.vgrid.weights * b
-    denom = 1.0 + lam[:, None] * b[None, :]
-    s2 = ((wb * dvm.p_gain)[None, :] / denom).sum(axis=1)
-    return _CollisionPlan(lam, denom, wb, 1.0 - lam * s2,
+    denom = 1.0 + lam[:, None] * dvm.bracket_beta[None, :]
+    s2 = ((dvm.w_beta * dvm.p_gain)[None, :] / denom).sum(axis=1)
+    return _CollisionPlan(lam, denom, 1.0 - lam * s2,
                           np.empty(fld.values.shape))
 
 
@@ -141,10 +118,10 @@ def collision_apply(fld: PhaseField, dt_coll: float, eps: float) -> PhaseField:
     """
     if not dt_coll > 0:
         raise ValidationError(f"dt_coll must be positive (got {dt_coll})")
-    plan = _plan(fld, "collision", (dt_coll, eps),
+    plan = _plan(fld, ("collision", dt_coll, eps),
                  lambda: _collision_plan(fld, dt_coll, eps))
     f, work = fld.values, plan.work
-    s1 = np.divide(f, plan.denom, out=work) @ plan.wb
+    s1 = np.divide(f, plan.denom, out=work) @ fld.dvm.w_beta
     mstar = s1 / plan.one_minus
     np.multiply((plan.lam * mstar)[:, None], fld.dvm.p_gain[None, :], out=work)
     fld.values = np.add(f, work, out=work) / plan.denom
@@ -239,15 +216,14 @@ def _transport_plan(fld: PhaseField, dt: float, eps: float,
         coef = np.where(left == 1, -limiter, limiter)
         coef, speeds = (np.broadcast_to(a, (nx, nv)).copy()
                         for a in (coef, speeds))
-    scratch = _plan(fld, "transport scratch", (),
+    scratch = _plan(fld, ("transport scratch",),
                     lambda: _TransportScratch.empty(nx, nv))
     # the h/2 and h plans of a run share these indices: their upwind sides
     # differ only where a column of one moves by exactly whole cells
     upwind, upwind_f = _plan(
-        fld, "upwind rows", (scheme_order, left.tobytes()),
+        fld, ("upwind rows", scheme_order, left.tobytes()),
         lambda: ((_rows(nx, nv, left), None) if scheme_order == 1
-                 else (_rows(nx, nv, 2 * left), _rows(nx, nv, 1 + left))),
-        slots=2)
+                 else (_rows(nx, nv, 2 * left), _rows(nx, nv, 1 + left))))
     return _TransportPlan(scheme_order, dt / dx, speeds, coef, upwind,
                           upwind_f, shift, scratch)
 
@@ -268,8 +244,8 @@ def transport_apply(fld: PhaseField, dt: float, eps: float,
     cell), gathers every cell's upwind values and evaluates one flux
     formula.
     """
-    plan = _plan(fld, "transport", (dt, eps, scheme_order),
-                 lambda: _transport_plan(fld, dt, eps, scheme_order), slots=2)
+    plan = _plan(fld, ("transport", dt, eps, scheme_order),
+                 lambda: _transport_plan(fld, dt, eps, scheme_order))
     work = plan.scratch
     f = fld.values
     if plan.shift is not None:
@@ -410,8 +386,7 @@ class KineticRun:
         if not self.phase:
             raise ValidationError("kinetic run carries no phase-space "
                                   "snapshots; make it with store_phase=True")
-        f = self.phase[index]
-        return f - np.outer(self.dvm.density(f), self.dvm.f_eq)
+        return self.dvm.decompose(self.phase[index])[1]
 
 
 def run_kinetic_det(params: ModelParams, eps: float, *,
@@ -441,8 +416,8 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
     # underflowed to zero or to a subnormal makes them inf/NaN from the
     # first snapshot on
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        finite = (np.isfinite(vgrid.weights / dvm.f_eq)
-                  & np.isfinite(vgrid.weights * dvm.bracket_beta / dvm.f_eq))
+        w_finv = vgrid.weights / dvm.f_eq
+        finite = np.isfinite(w_finv) & np.isfinite(dvm.w_beta / dvm.f_eq)
     if not np.all(finite):
         node = int(np.argmin(finite))
         raise NumericError(
@@ -487,12 +462,12 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
         times.append(fld.time)
         rhos.append(dens.values.copy())
         gnorms.append(gnorm2)
-        masses.append(fld.mass())
+        masses.append(dens.mass())
         rhol2.append(dens.l2_norm())
         if store_phase:
             phases.append(fld.values.copy())
 
-    f0_norm2 = fld.fnorm2_finv()
+    f0_norm2 = float(xgrid.dx * np.sum(fld.values**2 * w_finv))
     t = h = 0.0
     for target in snap:
         if target > t:   # a snapshot at t = 0 takes no step
@@ -502,6 +477,7 @@ def run_kinetic_det(params: ModelParams, eps: float, *,
             # step length, so its collision and transport plans are reused
             if not math.isclose(span / nsteps, h, rel_tol=1e-12):
                 h = span / nsteps
+                fld._plans.clear()    # the plans of the last h are stale
             # T(h/2) [C(h) T(h)]^(nsteps-1) C(h) T(h/2): the two half
             # transports between consecutive collisions run as one
             transport_apply(fld, 0.5 * h, eps, scheme_order)

@@ -48,6 +48,7 @@ __all__ = [
     "critical_speed",
     "check_eps",
     "check_eps_ladder",
+    "strictly_decreasing",
     "drift",
     "coercivity_constant",
     "coercivity_functional",
@@ -414,10 +415,15 @@ def check_eps_ladder(eps_list) -> list[float]:
     ladder = [float(e) for e in eps_list]
     for eps in ladder:
         check_eps(eps)
-    if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
+    if not ladder or not strictly_decreasing(ladder):
         raise ValidationError("parameter constraint violated: eps ladder "
                               f"non-empty and strictly decreasing (got {ladder})")
     return ladder
+
+
+def strictly_decreasing(values) -> bool:
+    """Whether each value is below the one before it (a NaN never is)."""
+    return all(b < a for a, b in zip(values, values[1:]))
 
 
 def drift(params: ModelParams, eps: float) -> float:

@@ -286,7 +286,7 @@ def _writers(obj, config) -> dict:
                     "time": obj.time,
                     "nx": obj.xgrid.nx,
                     "nv": obj.dvm.vgrid.nv,
-                    "mass": obj.mass(),
+                    "mass": obj.density().mass(),
                 }),
                 "binary": lambda out: [write_phase_binary(obj,
                                                           out / "phase.bin")]}

@@ -30,6 +30,7 @@ def test_velocity_grid_has_zero_node_and_symmetry():
     assert np.allclose(g.weights, g.weights[::-1])
     assert g.vmax == pytest.approx(0.7 * 32)
     assert np.max(np.abs(g.v)) == pytest.approx(g.vmax)
+    assert VelocityGrid.spanning(33, g.vmax) == g
 
 
 def test_velocity_grid_rejects_even_or_tiny():
@@ -70,6 +71,17 @@ def test_discrete_equilibrium_annihilates_q(asym_params):
     x = np.array([0.0, 3.0, 10.0, 17.0])
     q = dvm.collision_operator(x, f)
     assert np.max(np.abs(q)) < 1e-15
+
+
+@pytest.mark.parametrize("shape", [(65,), (3, 65)])
+def test_decompose_splits_off_the_local_equilibrium(asym_params, rng, shape):
+    dvm = DiscreteModel(asym_params, VelocityGrid(nv=65, vscale=0.5))
+    f = rng.random(shape)
+    rho, g = dvm.decompose(f)
+    want = f - np.outer(dvm.density(f), dvm.f_eq)
+    assert g.shape == f.shape
+    assert g.tobytes() == want.tobytes()
+    assert np.asarray(rho).tobytes() == np.asarray(dvm.density(f)).tobytes()
 
 
 def test_discrete_q_conserves_mass(asym_params, rng):

@@ -129,6 +129,8 @@ def test_model_constraints_are_validated_on_load():
     ("discretization.scheme_order = 3", "scheme_order"),
     ("discretization.dt_policy = 1.5", "dt_policy"),
     ("discretization.vmax_policy = -3.0", "vmax_policy"),
+    ("discretization.vmax_policy = inf", "vmax_policy"),
+    ("discretization.vmax_policy = 1e308", "vmax_policy"),
     ("experiment.eps_list = 0.4, 1.5", "eps_list"),
     ("experiment.t_final = 0.0", "t_final"),
     ("experiment.snapshot_times = 0.3, 0.1", "snapshot_times"),

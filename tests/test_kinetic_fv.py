@@ -254,7 +254,7 @@ def test_kernels_equal_one_shot_formulas_bitwise(core_asym, order):
     assert np.any(speeds < 0) and np.any(speeds > 0)
     assert np.any(speeds == 0) == (core_asym == 0.0)
     dt = 0.9 * fld.xgrid.dx / np.max(np.abs(speeds))
-    # repeats reuse each plan; a new step length replaces it
+    # repeats reuse each plan; a new step length adds one
     for h in (dt, dt, dt, 0.5 * dt, dt, dt):
         transport_apply(fld, h, eps, scheme_order=order)
         f = (_upwind_once(f, speeds * h / fld.xgrid.dx) if order == 1
@@ -436,6 +436,34 @@ def test_uniform_schedule_builds_two_transport_plans(asym_params, monkeypatch):
     assert len(builds) == 2 and builds[0] == pytest.approx(0.5 * builds[1])
 
 
+def test_plan_table_holds_one_step_length(asym_params, monkeypatch):
+    # on a non-uniform schedule h changes from interval to interval; at
+    # every build the table holds at most the plans of one h: the
+    # collision h and the transport pair h/2 and h
+    held = []
+
+    def watched(kind):
+        real = getattr(kfv, f"_{kind}_plan")
+
+        def build(fld, dt, *args):
+            keys = [k for k in fld._plans if k[0] in ("collision", "transport")]
+            kinds = [k[0] for k in keys] + [kind]
+            assert kinds.count("collision") <= 1, keys
+            assert kinds.count("transport") <= 2, keys
+            steps = {k[1] for k in keys} | {dt}
+            h = max(steps)
+            assert steps <= {0.5 * h, h}, keys
+            held.append(h)
+            return real(fld, dt, *args)
+        monkeypatch.setattr(kfv, f"_{kind}_plan", build)
+
+    watched("transport")
+    watched("collision")
+    small_run(asym_params, eps=0.4, t_final=0.5,
+              snapshot_times=[0.0, 0.03, 0.1, 0.17, 0.33, 0.5])
+    assert len(set(held)) >= 4
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_half_and_full_step_plans_share_their_arrays(asym_params, order):
     # the h plan moves the fast columns by whole cells, the h/2 plan does
@@ -446,7 +474,8 @@ def test_half_and_full_step_plans_share_their_arrays(asym_params, order):
     h = 1.8 * fld.xgrid.dx / smax
     for dt in (0.5 * h, h, h, 0.5 * h):
         transport_apply(fld, dt, eps=0.5, scheme_order=order)
-    (_, half), (_, full) = fld._plans["transport"]
+    half = fld._plans["transport", 0.5 * h, 0.5, order]
+    full = fld._plans["transport", h, 0.5, order]
     assert half.shift is None and full.shift is not None
     assert half.scratch is full.scratch
     assert half.upwind is full.upwind and half.upwind_f is full.upwind_f

@@ -381,6 +381,15 @@ def test_drift_rejects_out_of_range_eps(asym_params):
         m.drift(asym_params, 1.5)
 
 
+def test_strictly_decreasing_rule():
+    assert m.strictly_decreasing([0.4, 0.2, 0.1]) and m.strictly_decreasing([])
+    assert m.strictly_decreasing(np.array([3.0, -np.inf]))
+    assert not m.strictly_decreasing([0.4, 0.4])
+    assert not m.strictly_decreasing(np.array([0.4, np.nan, 0.1]))
+    with pytest.raises(ValidationError, match="strictly decreasing"):
+        m.check_eps_ladder([0.2, 0.4])
+
+
 # ---------------------------------------------------------------------------
 # coercivity constant
 # ---------------------------------------------------------------------------
