@@ -88,7 +88,7 @@ def cmd_model_info(args) -> int:
     cfg = _config(args)
     info = cfg.model.as_dict()
     _say(args, json_text(info))
-    if args.out is not None:
+    if args.out is not None and "json" in cfg.formats:
         write_manifest_json({"kind": "model-info", **info},
                             f"{cfg.out_dir}/model.json",
                             config=config_dict(cfg))

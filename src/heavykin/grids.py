@@ -16,6 +16,7 @@ __all__ = [
     "VelocityGrid",
     "DiscreteModel",
     "DensityField",
+    "mass_drift",
     "periodized_gaussian",
     "snapshot_schedule",
 ]
@@ -194,6 +195,11 @@ class DensityField:
 
     def l2_norm(self) -> float:
         return float(np.sqrt(np.sum(self.values**2) * self.grid.dx))
+
+
+def mass_drift(masses: np.ndarray) -> float:
+    """The largest drift max|mass - 1| over a trajectory's snapshots."""
+    return float(np.max(np.abs(masses - 1.0)))
 
 
 def periodized_gaussian(grid: SpatialGrid, center: float | None = None,

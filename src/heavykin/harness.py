@@ -26,7 +26,7 @@ from .corrector import (ProbeFunction, RowFlight, _probe_choice,
                         corrector_term_drift_rho, corrector_term_qplus)
 from .errors import HeavykinError, NumericError, ValidationError
 from .grids import DensityField, DiscreteModel, SpatialGrid, VelocityGrid, \
-    periodized_gaussian, snapshot_schedule
+    mass_drift, periodized_gaussian, snapshot_schedule
 from .kinetic_fv import KineticRun, auto_vscale, run_kinetic_det
 from .kinetic_mc import advance, density_standard_error, estimate_density, \
     init_ensemble
@@ -516,7 +516,7 @@ def run_sweep(cfg: RunConfig, *, threads: int = 1) -> SweepReport:
         macro = {
             "nx": xgrid.nx,
             "t_final": cfg.t_final,
-            "mass_err": float(abs(macro_run.masses()[-1] - 1.0)),
+            "mass_err": mass_drift(macro_run.masses()),
             "wall_time": assemble_s + time.perf_counter() - solve_started,
         }
         return macro_run.final(), macro, \

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .grids import (DensityField, DiscreteModel, SpatialGrid, VelocityGrid,
-                    periodized_gaussian, snapshot_schedule)
+                    mass_drift, periodized_gaussian, snapshot_schedule)
 from .model import (ModelParams, check_eps, coercivity_constant,
                     critical_speed, drift, nu0)
 
@@ -368,11 +368,11 @@ class KineticRun:
     @property
     def summary(self) -> dict:
         """The run's deterministic scalars: ``steps``, ``dt_max`` and
-        ``step_bound``, the largest mass drift ``mass_err`` = max|mass - 1|,
+        ``step_bound``, the :func:`mass_drift` ``mass_err``,
         and the velocity grid's defects of :func:`_grid_defects`."""
         return {"steps": self.steps, "dt_max": self.dt_max,
                 "step_bound": self.step_bound,
-                "mass_err": float(np.max(np.abs(self.mass - 1.0))),
+                "mass_err": mass_drift(self.mass),
                 **_grid_defects(self.params, self.eps, self.dvm.vgrid)}
 
     @property

@@ -6,7 +6,8 @@ Conventions (the full format reference lives in docs/file-formats.md):
 * every JSON manifest carries ``schema_version`` and the package ``version``;
 * no NaN/Inf is ever serialized -- :class:`NumericError` is raised instead;
 * I/O failures surface as :class:`OutputError` naming the path;
-* CSV column order is fixed per kind and spelled out below;
+* every CSV goes through :func:`write_table_csv`, its column order fixed
+  per kind and spelled out below;
 * raw binary is used only for phase-space fields (they are the large ones)
   and round-trips bit-exactly through :func:`read_phase_binary`.
 """
@@ -14,7 +15,9 @@ Conventions (the full format reference lives in docs/file-formats.md):
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -28,9 +31,9 @@ from .model import ModelParams
 from .nonlocal_op import MacroRun
 
 __all__ = ["SCHEMA_VERSION", "FORMATS", "check_format_names", "check_formats",
-           "json_text", "write_outputs", "write_density_csv",
-           "write_trajectory_csv", "write_table_csv", "write_manifest_json",
-           "write_phase_binary", "read_phase_binary", "write_gnuplot_script"]
+           "json_text", "write_outputs", "write_table_csv",
+           "write_manifest_json", "write_phase_binary", "read_phase_binary",
+           "write_gnuplot_script"]
 
 SCHEMA_VERSION = 1
 FORMATS = ("csv", "json", "binary", "gnuplot")
@@ -50,13 +53,6 @@ SWEEP_COLUMNS = ("eps", "error_l2", "g_margin", "rho_margin",
 #       domain_length
 _PHASE_MAGIC = b"HEAVYKIN"
 _PHASE_HEADER = struct.Struct("<8sIII9d")
-
-
-def _finite(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{what} contains non-finite values; refusing to serialize")
-    return arr
 
 
 def _plain(obj):
@@ -119,20 +115,14 @@ def json_text(payload) -> str:
                            f"{exc}") from exc
 
 
-def _csv_text(columns, rows) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _cell(value, what: str):
+def _cell(value, column: str):
+    """A float cell as a finite Python float, which the CSV writer prints
+    with ``repr`` (read back bit-exactly); any other cell as it is."""
     if isinstance(value, (float, np.floating)):
-        return repr(float(_finite(value, what)))
+        value = float(value)
+        if not math.isfinite(value):
+            raise NumericError(f"column {column} contains non-finite values; "
+                               "refusing to serialize")
     return value
 
 
@@ -141,31 +131,20 @@ def _cell(value, what: str):
 # ---------------------------------------------------------------------------
 
 
-def write_density_csv(field: DensityField, path) -> Path:
-    """Columns ``x,rho``; one row per grid cell."""
-    values = _finite(field.values, "density field")
-    rows = [(repr(float(x)), repr(float(r)))
-            for x, r in zip(field.grid.centers, values)]
-    return _write(Path(path), _csv_text(("x", "rho"), rows))
-
-
-def write_trajectory_csv(times, grid: SpatialGrid, rho, path) -> Path:
-    """Columns ``time,x,rho``, long format, snapshot-major."""
-    times = _finite(times, "snapshot times")
-    rho = _finite(rho, "density trajectory")
-    rows = []
-    for t, slab in zip(times, rho):
-        rows.extend((repr(float(t)), repr(float(x)), repr(float(r)))
-                    for x, r in zip(grid.centers, slab))
-    return _write(Path(path), _csv_text(("time", "x", "rho"), rows))
-
-
 def write_table_csv(path, columns, rows) -> Path:
-    """Generic table: fixed ``columns`` order, one dict per row; missing
-    entries are left empty (never silently reordered)."""
-    body = [[_cell(row.get(col, ""), f"column {col}") for col in columns]
-            for row in rows]
-    return _write(Path(path), _csv_text(columns, body))
+    """The one CSV writer: fixed ``columns`` order, one dict per row;
+    missing entries are left empty (never silently reordered).  A NaN or
+    infinite cell raises :class:`NumericError` before the file exists."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    # a finite Python float, the common cell, is written as it is; one flat
+    # list of cells, cut into rows of len(columns), spares a list per row
+    cells = [cell if type(cell := row.get(col, "")) is float
+             and math.isfinite(cell) else _cell(cell, col)
+             for row in rows for col in columns]
+    writer.writerows(zip(*[iter(cells)] * len(columns)))
+    return _write(Path(path), buf.getvalue())
 
 
 def write_manifest_json(payload: dict, path, *, config: dict | None = None) -> Path:
@@ -180,13 +159,15 @@ def write_manifest_json(payload: dict, path, *, config: dict | None = None) -> P
 
 def write_phase_binary(fld: PhaseField, path) -> Path:
     """Raw dump of a phase-space field (see module docstring for the layout)."""
-    values = _finite(fld.values, "phase field")
+    if not np.all(np.isfinite(fld.values)):
+        raise NumericError("phase field contains non-finite values; "
+                           "refusing to serialize")
     p = fld.dvm.params
     header = _PHASE_HEADER.pack(
         _PHASE_MAGIC, SCHEMA_VERSION, fld.xgrid.nx, fld.dvm.vgrid.nv,
         fld.time, fld.dvm.vgrid.vscale, p.alpha, p.beta, p.kappa,
         p.core_asym, p.nu0_mean, p.nu0_delta, p.domain_length)
-    return _write(Path(path), header + values.astype("<f8").tobytes())
+    return _write(Path(path), header + fld.values.astype("<f8").tobytes())
 
 
 def read_phase_binary(path) -> PhaseField:
@@ -239,38 +220,45 @@ def write_gnuplot_script(path, csv_name: str, *, title: str, xlabel: str,
 # ---------------------------------------------------------------------------
 
 
-def _density_pair(density, title: str) -> dict:
-    """csv + gnuplot writers of the density profile ``density()`` builds."""
-    return {
-        "csv": lambda out: [write_density_csv(density(), out / "density.csv")],
-        "gnuplot": lambda out: [write_gnuplot_script(
-            out / "density.gnuplot", "density.csv", title=title,
-            xlabel="x", ylabel="rho", using="1:2", style="lines")],
-    }
+def _plotted(table: str, script: str, columns, rows, **plot) -> tuple:
+    """The csv entry of ``table``, whose ``rows()`` are built when it is
+    written, and the gnuplot entry of the ``script`` that plots it."""
+    return (("csv", lambda out: write_table_csv(out / table, columns, rows())),
+            ("gnuplot", lambda out: write_gnuplot_script(out / script, table,
+                                                         **plot)))
 
 
-def _trajectory_pair(run, grid: SpatialGrid, stem: str, title: str) -> dict:
-    """csv + gnuplot writers of ``run``'s density trajectory, as ``stem``.*"""
-    return {
-        "csv": lambda out: [write_trajectory_csv(run.times, grid, run.rho,
-                                                 out / f"{stem}.csv")],
-        "gnuplot": lambda out: [write_gnuplot_script(
-            out / f"{stem}.gnuplot", f"{stem}.csv", title=title,
-            xlabel="x", ylabel="rho", using="2:3", style="dots")],
-    }
+def _profile(fld: DensityField, title: str) -> tuple:
+    """density.csv (``x,rho``, one row per grid cell) and its plot."""
+    return _plotted("density.csv", "density.gnuplot", ("x", "rho"), lambda: [
+        {"x": x, "rho": r}
+        for x, r in zip(fld.grid.centers.tolist(), fld.values.tolist())],
+        title=title, xlabel="x", ylabel="rho", using="1:2", style="lines")
 
 
-def _writers(obj, config) -> dict:
-    """Each format ``obj`` can be written in -> a writer that takes the
-    directory, builds its data and returns the paths it wrote.  Only
-    phase-space results have a ``binary`` entry."""
+def _trajectory(run, grid: SpatialGrid, stem: str, title: str) -> tuple:
+    """``stem``.csv (``time,x,rho``, snapshot-major) and its plot."""
+    return _plotted(f"{stem}.csv", f"{stem}.gnuplot", ("time", "x", "rho"),
+                    lambda: [{"time": t, "x": x, "rho": r}
+                             for t, slab in zip(run.times.tolist(),
+                                                run.rho.tolist())
+                             for x, r in zip(grid.centers.tolist(), slab)],
+                    title=title, xlabel="x", ylabel="rho", using="2:3",
+                    style="dots")
+
+
+def _files(obj, config) -> list:
+    """Every file ``obj`` can be written to, in write order, as (format,
+    writer) pairs: the writer takes the directory, builds its data, writes
+    one file and returns its path.  Only phase-space results have
+    ``binary`` entries."""
     def manifest(name: str, payload):
-        return lambda out: [write_manifest_json(payload(), out / name,
-                                                config=config)]
+        return ("json", lambda out: write_manifest_json(
+            payload(), out / name, config=config))
 
     if isinstance(obj, DensityField):
-        return {**_density_pair(lambda: obj, "density"),
-                "json": manifest("density.json", lambda: {
+        table, plot = _profile(obj, "density")
+        return [table, manifest("density.json", lambda: {
                     "kind": "density",
                     "time": obj.time,
                     "provenance": obj.provenance,
@@ -278,39 +266,40 @@ def _writers(obj, config) -> dict:
                     "domain_length": obj.grid.length,
                     "mass": obj.mass(),
                     "l2_norm": obj.l2_norm(),
-                })}
+                }), plot]
     if isinstance(obj, PhaseField):
-        return {**_density_pair(obj.density, "phase marginal"),
-                "json": manifest("phase.json", lambda: {
+        density = obj.density()
+        table, plot = _profile(density, "phase marginal")
+        return [table, manifest("phase.json", lambda: {
                     "kind": "phase",
                     "time": obj.time,
                     "nx": obj.xgrid.nx,
                     "nv": obj.dvm.vgrid.nv,
-                    "mass": obj.density().mass(),
+                    "mass": density.mass(),
                 }),
-                "binary": lambda out: [write_phase_binary(obj,
-                                                          out / "phase.bin")]}
+                ("binary", lambda out: write_phase_binary(obj,
+                                                          out / "phase.bin")),
+                plot]
     if isinstance(obj, MacroRun):
-        return {**_trajectory_pair(obj, obj.grid, "macro", "macro density"),
-                "json": manifest("macro.json", lambda: {
+        table, plot = _trajectory(obj, obj.grid, "macro", "macro density")
+        return [table, manifest("macro.json", lambda: {
                     "kind": "macro-run",
                     "nx": obj.grid.nx,
                     "domain_length": obj.grid.length,
                     "times": obj.times,
                     "masses": obj.masses(),
                     "energies": obj.energies(),
-                })}
+                }), plot]
     if isinstance(obj, KineticRun):
-        trajectory = _trajectory_pair(obj, obj.xgrid, "kinetic",
-                                      "kinetic density")
-        table = {
-            **trajectory,
+        table, plot = _trajectory(obj, obj.xgrid, "kinetic", "kinetic density")
+        return [
+            table,
             # fluctuation diagnostic against its a-priori envelope
-            "csv": lambda out: trajectory["csv"](out) + [write_table_csv(
+            ("csv", lambda out: write_table_csv(
                 out / "gnorm.csv", ("t", "gnorm2", "bound"),
-                [{"t": float(t), "gnorm2": float(g), "bound": obj.apriori_bound}
-                 for t, g in zip(obj.times, obj.gnorm2)])],
-            "json": manifest("kinetic.json", lambda: {
+                [{"t": t, "gnorm2": g, "bound": obj.apriori_bound}
+                 for t, g in zip(obj.times.tolist(), obj.gnorm2.tolist())])),
+            manifest("kinetic.json", lambda: {
                 "kind": "kinetic-run",
                 "eps": obj.eps,
                 "scheme_order": obj.scheme_order,
@@ -324,25 +313,21 @@ def _writers(obj, config) -> dict:
                 **obj.summary,
                 "wall_time": obj.wall_time,
             }),
-        }
-        if obj.phase:   # only a run made with store_phase is phase-space
-            table["binary"] = lambda out: [write_phase_binary(
-                PhaseField(obj.xgrid, obj.dvm, values, time=float(t)),
-                out / f"phase_{i:03d}.bin")
-                for i, (t, values) in enumerate(zip(obj.times, obj.phase))]
-        return table
+            # only a run made with store_phase has snapshots to dump
+            *(("binary", lambda out, i=i, t=t, f=f: write_phase_binary(
+                PhaseField(obj.xgrid, obj.dvm, f, time=t),
+                out / f"phase_{i:03d}.bin"))
+              for i, (t, f) in enumerate(zip(obj.times.tolist(), obj.phase))),
+            plot,
+        ]
     # SweepReport (avoid importing harness here just for isinstance)
     if hasattr(obj, "verdicts") and hasattr(obj, "as_dict"):
-        return {
-            "csv": lambda out: [write_table_csv(out / "sweep_rows.csv",
-                                                SWEEP_COLUMNS, obj.rows)],
-            "json": lambda out: [write_manifest_json(obj.as_dict(),
-                                                     out / "report.json")],
-            "gnuplot": lambda out: [write_gnuplot_script(
-                out / "sweep.gnuplot", "sweep_rows.csv",
-                title="terminal L2 error vs eps", xlabel="eps",
-                ylabel="error", using="1:2", logscale="xy")],
-        }
+        table, plot = _plotted(
+            "sweep_rows.csv", "sweep.gnuplot", SWEEP_COLUMNS, lambda: obj.rows,
+            title="terminal L2 error vs eps", xlabel="eps", ylabel="error",
+            using="1:2", logscale="xy")
+        return [table, ("json", lambda out: write_manifest_json(
+                    obj.as_dict(), out / "report.json")), plot]
     raise ConfigError(f"no writers for objects of type {type(obj).__name__}")
 
 
@@ -357,7 +342,7 @@ def write_outputs(obj, out_dir, formats=("csv", "json"), *,
     type, or formats that break :func:`check_formats`, raise
     :class:`ConfigError` before the first file creates the directory.
     """
-    writers = _writers(obj, config)
-    check_formats(formats, phase="binary" in writers)
-    return [path for fmt in FORMATS if fmt in formats
-            for path in writers[fmt](Path(out_dir))]
+    files = _files(obj, config)
+    check_formats(formats, phase=any(fmt == "binary" for fmt, _ in files))
+    out = Path(out_dir)
+    return [write(out) for fmt, write in files if fmt in formats]

@@ -22,9 +22,8 @@ from heavykin.kinetic_fv import PhaseField, run_kinetic_det
 from heavykin.model import ModelParams
 from heavykin.nonlocal_op import assemble, solve_macro
 from heavykin.outputs import (FORMATS, SCHEMA_VERSION, read_phase_binary,
-                              write_density_csv, write_manifest_json,
-                              write_outputs, write_phase_binary,
-                              write_table_csv)
+                              write_manifest_json, write_outputs,
+                              write_phase_binary, write_table_csv)
 
 PARAMS = ModelParams(alpha=1.5, beta=0.0, kappa=0.2, core_asym=0.5,
                      nu0_mean=1.0, nu0_delta=0.0, domain_length=20.0)
@@ -46,7 +45,7 @@ def small_run(store_phase=False):
 def test_density_csv_one_row_per_cell(tmp_path):
     grid = SpatialGrid(4, 20.0)
     fld = DensityField(grid, np.array([0.1, 0.2, 0.3, 0.4]))
-    path = write_density_csv(fld, tmp_path / "d.csv")
+    [path] = write_outputs(fld, tmp_path, ("csv",))
     lines = path.read_text().splitlines()
     assert lines[0] == "x,rho"
     assert len(lines) == 5
@@ -56,7 +55,8 @@ def test_density_csv_one_row_per_cell(tmp_path):
 def test_density_csv_values_roundtrip_through_repr(tmp_path):
     grid = SpatialGrid(8, 20.0)
     fld = DensityField(grid, periodized_gaussian(grid))
-    lines = write_density_csv(fld, tmp_path / "d.csv").read_text().splitlines()
+    [path] = write_outputs(fld, tmp_path, ("csv",))
+    lines = path.read_text().splitlines()
     back = np.array([float(l.split(",")[1]) for l in lines[1:]])
     assert np.array_equal(back, fld.values)  # repr round-trips float64 exactly
 
@@ -84,6 +84,25 @@ def test_table_csv_fixed_column_order_and_gaps(tmp_path):
 def test_table_csv_rejects_inf(tmp_path):
     with pytest.raises(NumericError):
         write_table_csv(tmp_path / "t.csv", ("a",), [{"a": float("inf")}])
+
+
+def test_table_csv_writes_numpy_floats_as_python_floats(tmp_path):
+    # np.float64 is a float subclass whose repr names its type; both NumPy
+    # kinds are written as the repr of the Python float they hold
+    rows = [{"a": np.float64(0.1), "b": np.float32(0.1), "c": 3}]
+    path = write_table_csv(tmp_path / "t.csv", ("a", "b", "c"), rows)
+    assert path.read_text().splitlines()[1] == "0.1,0.10000000149011612,3"
+
+
+@pytest.mark.parametrize("kind", [float, np.float64, np.float32])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_table_csv_refuses_non_finite_cells_before_writing(tmp_path, kind,
+                                                           bad):
+    out = tmp_path / "out"
+    rows = [{"a": 1.0, "b": kind(0.5)}, {"a": 2.0, "b": kind(bad)}]
+    with pytest.raises(NumericError, match="column b contains non-finite"):
+        write_table_csv(out / "t.csv", ("a", "b"), rows)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +312,24 @@ def test_write_outputs_nan_density_refused(tmp_path):
         write_outputs(fld, tmp_path, ("csv",))
 
 
+def _spoiled_macro_run(bad):
+    run = _macro_run()
+    run.rho[-1, 3] = bad
+    return run
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: DensityField(SpatialGrid(4, 20.0), np.array([1.0, bad, 1, 1])),
+    _spoiled_macro_run,
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_outputs_non_finite_density_leaves_nothing(tmp_path, make, bad):
+    out = tmp_path / "out"
+    with pytest.raises(NumericError, match="column rho contains non-finite"):
+        write_outputs(make(bad), out, ("csv", "json", "gnuplot"))
+    assert not out.exists()
+
+
 def test_write_outputs_out_dir_is_a_file(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("i am a file")
@@ -361,6 +398,14 @@ def test_cli_model_info_writes_manifest(tmp_path):
     data = json.loads((tmp_path / "o" / "model.json").read_text())
     assert data["kind"] == "model-info"
     assert data["gamma"] == 1.5
+
+
+def test_cli_model_info_obeys_formats(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY.replace("csv, json", "csv"))
+    assert main(["model-info", "--config", cfg, "--out",
+                 str(tmp_path / "o")]) == 0
+    assert json.loads(capsys.readouterr().out)["gamma"] == 1.5
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_config(capsys):
