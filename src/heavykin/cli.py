@@ -20,7 +20,7 @@ from .config import (RunConfig, config_dict, default_config, load_config,
 from .corrector import (chi_eval, chi_l2_diagnostics, constant_probe,
                         hazard_weight, operator_limit_lhs, static_gaussian)
 from .errors import ConfigError, NumericError, OutputError, ValidationError
-from .grids import SpatialGrid, periodized_gaussian, DensityField
+from .grids import DensityField, SpatialGrid, mass_drift, periodized_gaussian
 from .harness import (Verdict, build_grids, check_coercivity,
                       probe_from_choice, run_sweep)
 from .kinetic_fv import run_kinetic_det
@@ -107,7 +107,7 @@ def cmd_kinetic_det(args) -> int:
                           config=config_dict(cfg))
     summary = run.summary
     _say(args, f"kinetic-det eps={eps}: {len(run.times)} snapshots, "
-               f"final mass drift {abs(run.mass[-1] - 1.0):.2e}, "
+               f"mass drift {summary['mass_err']:.2e}, "
                f"vmax/v_c {summary['vmax_over_critical']:.3g} "
                f"(critical tail loss {summary['critical_tail_loss']:.3g}), "
                f"wrote {len(paths)} file(s) to {cfg.out_dir}")
@@ -186,7 +186,7 @@ def cmd_macro_solve(args) -> int:
     paths = write_outputs(run, cfg.out_dir, cfg.formats,
                           config=config_dict(cfg))
     _say(args, f"macro-solve to T={cfg.t_final}: mass drift "
-               f"{abs(run.masses()[-1] - 1.0):.2e}, wrote {len(paths)} file(s)")
+               f"{mass_drift(run.masses()):.2e}, wrote {len(paths)} file(s)")
     return 0
 
 

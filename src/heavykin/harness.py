@@ -314,6 +314,9 @@ def _kinetic_row(cfg: RunConfig, eps: float, xgrid: SpatialGrid,
     qplus = corrector_term_qplus(shared)
     drift_g = corrector_term_drift_g(shared)
     drift_rho = corrector_term_drift_rho(shared)
+    # the remainders are the snapshots' only reader: the run leaves its row
+    # with its rho, mass and norm trajectories, and no phase space
+    run.phase = []
     row = {
         "eps": eps,
         **run.summary,

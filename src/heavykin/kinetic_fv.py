@@ -346,7 +346,8 @@ def _grid_defects(params: ModelParams, eps: float,
 @dataclass
 class KineticRun:
     """Everything a kinetic_fv run produces: density/diagnostic trajectories
-    and (optionally) full phase-space snapshots for the corrector checks."""
+    and (optionally) full phase-space snapshots for the corrector checks,
+    which a sweep drops once the run's row is built."""
 
     params: ModelParams
     eps: float
@@ -384,8 +385,11 @@ class KineticRun:
     def g_snapshot(self, index: int) -> np.ndarray:
         """g = f - rho F at a stored phase snapshot."""
         if not self.phase:
-            raise ValidationError("kinetic run carries no phase-space "
-                                  "snapshots; make it with store_phase=True")
+            raise ValidationError(
+                "kinetic run carries no phase-space snapshots: it was made "
+                "without store_phase=True, or it is a sweep run, whose "
+                "snapshots are dropped once its row is built; rebuild it "
+                "with run_kinetic_det(..., store_phase=True)")
         return self.dvm.decompose(self.phase[index])[1]
 
 

@@ -16,7 +16,7 @@ from heavykin.cli import _build_parser, main
 from heavykin.config import parse_config
 from heavykin.errors import ConfigError, NumericError, OutputError
 from heavykin.grids import DensityField, SpatialGrid, VelocityGrid, \
-    periodized_gaussian
+    mass_drift, periodized_gaussian
 from heavykin.harness import SweepReport, build_grids, run_sweep
 from heavykin.kinetic_fv import PhaseField, run_kinetic_det
 from heavykin.model import ModelParams
@@ -431,9 +431,11 @@ def test_cli_kinetic_det_writes_outputs(tmp_path, capsys):
     assert main(["kinetic-det", "--config", cfg]) == 0
     assert (out / "kinetic.csv").exists()
     assert (out / "kinetic.json").exists()
-    assert "mass drift" in capsys.readouterr().out
     # manifest echoes the full run description
     manifest = json.loads((out / "kinetic.json").read_text())
+    # the line prints the run summary's mass_err, max |mass - 1|
+    assert f"snapshots, mass drift {manifest['mass_err']:.2e}," \
+        in capsys.readouterr().out
     assert manifest["config"]["model.alpha"] == 1.5
     assert manifest["config"]["discretization.nx"] == 32
     assert manifest["config"]["experiment.eps_list"] == [0.4, 0.2]
@@ -524,11 +526,14 @@ def test_cli_kinetic_mc_needs_particles(tmp_path, capsys):
     assert "particles" in capsys.readouterr().err
 
 
-def test_cli_macro_solve(tmp_path):
+def test_cli_macro_solve(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, TINY + f"output.dir = {out}\n")
-    assert main(["macro-solve", "--config", cfg, "--quiet"]) == 0
+    assert main(["macro-solve", "--config", cfg]) == 0
     assert (out / "macro.csv").exists()
+    # the line prints grids.mass_drift of the run's masses, max |mass - 1|
+    masses = np.array(json.loads((out / "macro.json").read_text())["masses"])
+    assert f"mass drift {mass_drift(masses):.2e}," in capsys.readouterr().out
 
 
 def test_cli_macro_solve_accepts_kinetic_det_schedule(tmp_path):

@@ -440,6 +440,20 @@ def test_rungs_shared_between_caller_and_forked_workers(tiny_cfg, monkeypatch):
         assert np.array_equal(a.rho, b.rho) and a.steps == b.steps
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_runs_come_back_without_phase_snapshots(tiny_cfg, threads):
+    # a rung's snapshots are read by its row's remainders only, so neither
+    # the caller's loop nor a forked worker's pickle keeps them
+    report = run_sweep(tiny_cfg, threads=threads)
+    assert len(report.runs) == len(tiny_cfg.eps_list)
+    for run in report.runs:
+        assert sum(f.nbytes for f in run.phase) == 0
+        assert run.rho.shape == (len(run.times), tiny_cfg.nx)
+        with pytest.raises(ValidationError,
+                           match="a sweep run, whose snapshots are dropped"):
+            run.g_snapshot(0)
+
+
 def test_rungs_dealt_in_snake_order_from_the_smallest_eps():
     # eps decreases along the ladder, so the last index is the longest rung
     assert harness_mod._deal(4, 2) == [[3, 0], [2, 1]]
@@ -630,6 +644,16 @@ def _row(cfg, phi=None):
                                     phi or probe_from_choice(cfg))
 
 
+def _with_phase(cfg, eps):
+    """The sweep's run at ``eps`` made again with its phase snapshots, which
+    the sweep drops once the row is built; the run is deterministic."""
+    xgrid, vgrid = build_grids(cfg)
+    return run_kinetic_det(
+        cfg.model, eps, xgrid=xgrid, vgrid=vgrid, t_final=cfg.t_final,
+        snapshot_times=cfg.snapshot_times, scheme_order=cfg.scheme_order,
+        cfl=cfg.cfl, store_phase=True)
+
+
 def _row_elements(cfg):
     """(x, v, node) elements of one row's flight grid."""
     return cfg.nx * cfg.nv * co._laggauss(64)[0].size
@@ -686,7 +710,8 @@ def test_row_forms_each_deviation_once(row_cfg, monkeypatch):
 def test_row_remainders_equal_standalone_calls(row_cfg):
     # each term on a row of its own equals its value on the shared row
     phi = probe_from_choice(row_cfg)
-    row, run = _row(row_cfg, phi)
+    row, _ = _row(row_cfg, phi)
+    run = _with_phase(row_cfg, row["eps"])
     assert row["qplus_term"] == corrector_term_qplus(co.RowFlight(phi, run))
     assert row["drift_g_term"] == corrector_term_drift_g(co.RowFlight(phi, run))
     assert row["drift_rho_term"] == corrector_term_drift_rho(
@@ -852,7 +877,9 @@ def test_check_correctors_input_validation(small_cfg, small_report):
 def test_row_remainders_equal_direct_terms(small_cfg, small_report):
     # check_correctors reads these rows, so they must be the terms themselves
     phi = probe_from_choice(small_cfg)
-    for row, run in zip(small_report.rows, small_report.runs):
+    for row, kept in zip(small_report.rows, small_report.runs):
+        run = _with_phase(small_cfg, row["eps"])
+        assert np.array_equal(run.rho, kept.rho)
         for name, term in (("qplus", corrector_term_qplus),
                            ("drift_g", corrector_term_drift_g),
                            ("drift_rho", corrector_term_drift_rho)):
